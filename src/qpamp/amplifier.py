@@ -28,12 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.optimize import brentq
 
 from .errors import ThresholdError
 from .material import loss_tangent
-from .resonator import CircuitParams, DriveSpec, mode, three_wave_strength
+from .resonator import CircuitParams, DriveSpec, hbar, mode, three_wave_strength
 from .varactor import VaractorDesign
 
 __all__ = [
@@ -149,7 +147,7 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
 
     ``omega`` may be a scalar or an array [rad/s]; the return matches.
     """
-    if xi_mag < 0.0:
+    if not xi_mag >= 0.0:
         raise ValueError("xi_mag must be non-negative")
     _check_threshold(xi_mag, rates)
     dw = np.asarray(omega) - rates.omega_p / 2.0
@@ -158,6 +156,32 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
     denominator = rates.delta**2 + (half_kappa + 1j * dw) ** 2 - xi_mag * xi_mag
     result = numerator / denominator - 1.0
     return complex(result) if np.isscalar(omega) else result
+
+
+def _half_power_offset(rates: RateBudget, xi_mag: float, half: float, max_offset: float) -> float:
+    """Smallest u = dw/kappa in (0, max_offset] with |R|**2 = half, or NaN.
+
+    In units of kappa, R = (N - D)/D with D = (b - u**2) + i u and
+    N - D = (a + u**2) + i (c0 + c1 u), so |N - D|**2 - half |D|**2 is a
+    quartic in u without a cubic term (and even in u when delta = 0).
+    """
+    k = rates.kappa
+    x, d, ke = xi_mag / k, rates.delta / k, rates.kappa_ext / k
+    b = d * d + 0.25 - x * x
+    a = ke / 2.0 - b
+    c0, c1 = ke * d, ke - 1.0
+    roots = np.roots(
+        (
+            1.0 - half,
+            0.0,
+            2.0 * a + c1 * c1 - half * (1.0 - 2.0 * b),
+            2.0 * c0 * c1,
+            a * a + c0 * c0 - half * b * b,
+        )
+    )
+    real = np.abs(roots.imag) <= 1e-12 * np.abs(roots)
+    u = roots.real[real & (roots.real > 0.0) & (roots.real <= max_offset)]
+    return float(u.min()) if u.size else math.nan
 
 
 def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSpec()) -> GainProfile:
@@ -178,13 +202,9 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
     # center and falls below half power inside the span.
     if i_peak == grid.count // 2 and grid.count % 2 == 1:
         half = peak_power / 2.0
-
-        def drop(offset: float) -> float:
-            r = reflection(center + offset, xi_mag, rates)
-            return abs(r) ** 2 - half
-
-        if drop(span) < 0.0:
-            bandwidth = 2.0 * brentq(drop, 0.0, span, xtol=1e-6 * rates.kappa, maxiter=200)
+        if abs(reflection(center + span, xi_mag, rates)) ** 2 < half:
+            offset = _half_power_offset(rates, xi_mag, half, grid.half_span_kappa)
+            bandwidth = 2.0 * rates.kappa * offset
 
     return GainProfile(
         frequencies=frequencies,

@@ -14,6 +14,7 @@ output file doubles as a reproducible configuration.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -116,9 +117,12 @@ class ToolConfig:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:

@@ -31,8 +31,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from scipy.constants import hbar
-
 from .errors import ConfigurationError, NumericalError
 from .varactor import VaractorDesign, capacitance, capacitance_derivatives
 
@@ -48,6 +46,9 @@ __all__ = [
 ]
 
 _FORM_TOLERANCE = 1e-6
+
+# Reduced Planck constant h / 2pi [J s], exact in the 2019 SI.
+hbar = 1.0545718176461565e-34
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.constants import epsilon_0
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .errors import ConfigurationError, NumericalError
 from .material import MaterialParams, permittivity, permittivity_derivatives
 
@@ -42,6 +38,9 @@ __all__ = [
 ]
 
 _QUAD_RTOL = 1e-12
+
+# Vacuum permittivity [F/m], CODATA 2022.
+epsilon_0 = 8.8541878188e-12
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,9 @@ def finite_difference_capacitance_derivatives(
 
 
 def _quad(func, lo: float, hi: float, what: str) -> float:
+    # Imported on first use: the design chain and the CLI never integrate.
+    from scipy.integrate import quad
+
     result = quad(func, lo, hi, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200, full_output=1)
     if len(result) > 3:
         raise NumericalError(
@@ -171,6 +173,8 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
     ValueError
         If ``q`` lies outside [q(-v_max), q(v_max)].
     """
+    from scipy.optimize import brentq
+
     if q == 0.0:
         return 0.0
     q_max = charge(design.v_max, design)

@@ -1,7 +1,8 @@
 """Independent numerical oracles used to validate the analytic code paths.
 
 Nothing here shares algorithms with the package: the cubic is solved by
-plain bisection instead of Cardano's formula, integrals use fixed-panel
+plain bisection instead of Cardano's formula, the 3-dB point by a scan plus
+bisection instead of polynomial roots, integrals use fixed-panel
 midpoint Riemann sums instead of adaptive quadrature, and derivatives use
 high-order finite-difference stencils instead of the chain rule.
 """
@@ -58,3 +59,25 @@ def fd6_second(func, x: float, h: float) -> float:
 
 def central_first(func, x: float, h: float) -> float:
     return (func(x + h) - func(x - h)) / (2.0 * h)
+
+
+def first_crossing_bisect(func, level: float, hi: float, scan: int = 4000) -> float:
+    """Smallest x in (0, hi] where func(x) falls below level.
+
+    A uniform scan of `scan` points finds the first sample below `level`;
+    200 bisection steps then refine the bracket it closes.  NaN when no
+    sample falls below.
+    """
+    lo = 0.0
+    for i in range(1, scan + 1):
+        up = hi * i / scan
+        if func(up) < level:
+            for _ in range(200):
+                mid = 0.5 * (lo + up)
+                if func(mid) < level:
+                    up = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + up)
+        lo = up
+    return math.nan

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import first_crossing_bisect
 from qpamp import (
     KTO,
     STO,
@@ -116,6 +117,12 @@ class TestReflection:
                 reflection(BUDGET.omega_p / 2.0, ratio * BUDGET.kappa / 2.0, BUDGET)
             assert err.value.pump_ratio == pytest.approx(ratio, rel=1e-12)
 
+    def test_rejects_nan_pump(self):
+        with pytest.raises(ValueError):
+            reflection(BUDGET.omega_p / 2.0, math.nan, BUDGET)
+        with pytest.raises(ValueError):
+            profile_from_rates(BUDGET, math.nan)
+
     def test_detuning_raises_threshold(self):
         # With delta != 0 a pump at kappa/2 is still below threshold.
         detuned = RateBudget(
@@ -162,6 +169,33 @@ class TestGainProfile:
             for r in (0.8, 0.9, 0.95)
         ]
         assert widths[0] > widths[1] > widths[2] > 0.0
+
+    @pytest.mark.parametrize("delta_kappa", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("ratio", [0.9, 0.95, 0.99])
+    def test_bandwidth_against_bisection(self, delta_kappa, ratio):
+        kappa = BUDGET.kappa
+        rates = RateBudget(BUDGET.omega0, BUDGET.kappa_int, BUDGET.kappa_ext, delta=delta_kappa * kappa)
+        xi = ratio * math.hypot(rates.delta, kappa / 2.0)
+        profile = profile_from_rates(rates, xi)
+        half = float(np.max(np.abs(profile.reflection) ** 2)) / 2.0
+        center = rates.omega_p / 2.0
+
+        def power(u):
+            return abs(reflection(center + u * kappa, xi, rates)) ** 2
+
+        offset = first_crossing_bisect(power, half, GridSpec().half_span_kappa)
+        assert math.isfinite(offset)
+        assert abs(profile.bandwidth / kappa - 2.0 * offset) <= 1e-9
+
+    def test_sub_3db_peak_has_no_bandwidth(self):
+        # The curve dips below half power inside the span but is back above
+        # it at the span edge, so it has no 3-dB width there.
+        rates = RateBudget(BUDGET.omega0, 0.3 * TWO_PI * 20e6, 0.7 * TWO_PI * 20e6)
+        profile = profile_from_rates(rates, 0.64 * rates.kappa / 2.0)
+        power = np.abs(profile.reflection) ** 2
+        assert profile.peak_gain_db < 10.0 * math.log10(2.0)
+        assert power.min() < power.max() / 2.0 <= power[-1]
+        assert math.isnan(profile.bandwidth)
 
     def test_profile_frequencies_span(self):
         grid = GridSpec(count=11, half_span_kappa=3.0)

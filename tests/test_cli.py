@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qpamp
 from qpamp import permittivity, builtin_material
 from qpamp.amplifier import GridSpec, profile_from_rates, rate_budget, reflection
 from qpamp.cli import main
@@ -159,6 +163,15 @@ class TestConfigDiagnostics:
     def test_malformed_override(self, tmp_path, capsys):
         assert main(["material", "--out", str(tmp_path), "--override", "no_equals"]) == 2
         assert "section.key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override", ["drive.v_ac_mv=nan", "drive.v_ac_mv=inf", "drive.theta_rad=nan"]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, override):
+        assert main(["design", "--out", str(tmp_path), "--override", override]) == 2
+        key = override.split("=")[0].split(".")[1]
+        assert f"[drive] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "design.kv").exists()
 
     def test_invalid_workers_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QPAMP_WORKERS", "many")
@@ -436,6 +449,31 @@ class TestOutputContract:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "qpamp" in capsys.readouterr().out
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # A fresh interpreter: neither the import nor any command loads scipy.
+        script = (
+            "import json, sys\n"
+            "import qpamp.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "seen = {'import': scipy_modules()}\n"
+            "for command in ('material', 'design', 'gain', 'sweep'):\n"
+            "    rc = qpamp.cli.main([command, '--out', sys.argv[1]])\n"
+            "    seen[command] = scipy_modules() if rc == 0 else f'exit {rc}'\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = str(Path(qpamp.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen == {k: [] for k in ("import", "material", "design", "gain", "sweep")}
 
     def test_console_script_is_wired(self, tmp_path):
         result = subprocess.run(

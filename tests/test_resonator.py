@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.constants import epsilon_0, hbar
 
+import qpamp.resonator
+import qpamp.varactor
 from oracles import fd6_first, fd6_second
 from qpamp import (
     KTO,
@@ -27,6 +29,12 @@ STO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=STO)
 KTO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=KTO)
 CIRCUIT = CircuitParams(inductance=0.5e-9, q_ext=100.0)
 DRIVE = DriveSpec(v_ac=1e-3)
+
+
+def test_physical_constants_match_scipy():
+    # The package carries these as literals so that it loads without scipy.
+    assert qpamp.varactor.epsilon_0 == epsilon_0
+    assert qpamp.resonator.hbar == hbar
 
 
 class TestMode:
