@@ -65,7 +65,6 @@ from .varactor import (
     charge,
     energy,
     energy_and_derivatives,
-    finite_difference_capacitance_derivatives,
     voltage_from_charge,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "ChargePoint",
     "capacitance",
     "capacitance_derivatives",
-    "finite_difference_capacitance_derivatives",
     "charge",
     "voltage_from_charge",
     "energy",

@@ -25,7 +25,7 @@ kappa) since both appear in the literature and they differ by ~16 dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,8 +86,11 @@ class GridSpec:
     half_span_kappa: float = 4.0
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("grid needs at least 2 points")
+        if self.count < 3 or self.count % 2 == 0:
+            raise ValueError(
+                f"grid count must be odd and at least 3 (a sample on the pumped center), "
+                f"got {self.count}"
+            )
         if not self.half_span_kappa > 0.0:
             raise ValueError("half_span_kappa must be positive")
 
@@ -199,12 +202,16 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
 
     bandwidth = math.nan
     # A 3-dB width is only meaningful for a curve that peaks at the pumped
-    # center and falls below half power inside the span.
-    if i_peak == grid.count // 2 and grid.count % 2 == 1:
+    # center and falls below half power inside the span on both sides.
+    # Detuning skews the curve, but |R(-u; delta)| = |R(u; -delta)|, so the
+    # lower offset is the upper one of the mirrored budget.
+    if i_peak == grid.count // 2:
         half = peak_power / 2.0
-        if abs(reflection(center + span, xi_mag, rates)) ** 2 < half:
-            offset = _half_power_offset(rates, xi_mag, half, grid.half_span_kappa)
-            bandwidth = 2.0 * rates.kappa * offset
+        if power[0] < half and power[-1] < half:
+            mirrored = replace(rates, delta=-rates.delta)
+            upper = _half_power_offset(rates, xi_mag, half, grid.half_span_kappa)
+            lower = _half_power_offset(mirrored, xi_mag, half, grid.half_span_kappa)
+            bandwidth = rates.kappa * (upper + lower)
 
     return GainProfile(
         frequencies=frequencies,

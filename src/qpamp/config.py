@@ -315,6 +315,10 @@ def load_config(
         )
     # Fail fast on inconsistent physics parameters.
     material_params(sections)
+    count = sections["gain"]["count"]
+    if count < 3 or count % 2 == 0:
+        # The gain grid needs a sample on the pumped center for its 3-dB width.
+        raise ConfigurationError(f"[gain] count: must be odd and at least 3, got {count}")
     return ToolConfig(sections=sections)
 
 

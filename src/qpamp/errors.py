@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 The command-line layer maps these onto process exit codes: configuration
-problems exit with 2, numerical failures (non-convergence, internal
-consistency trips, driving an amplifier at or past its oscillation
+problems exit with 2, numerical failures (non-convergence, a flat
+working-point objective, driving an amplifier at or past its oscillation
 threshold) exit with 3.
 """
 
@@ -12,7 +12,7 @@ class ConfigurationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge or an internal cross-check tripped."""
+    """A numerical routine failed to converge or found nothing to optimise."""
 
 
 class ThresholdError(NumericalError):

@@ -104,13 +104,15 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("eps00_rel", "curie_temp", "debye_temp", "renorm_field"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"material parameter {name!r} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"material parameter {name!r} must be finite and positive")
         for name in ("inhomogeneity", "a1", "a2", "defect_density", "temperature"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"material parameter {name!r} must be non-negative")
-        if self.a3 is not None and self.a3 < 0.0:
-            raise ConfigurationError("material parameter 'a3' must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"material parameter {name!r} must be finite and non-negative"
+                )
+        if self.a3 is not None and not 0.0 <= self.a3 < math.inf:
+            raise ConfigurationError("material parameter 'a3' must be finite and non-negative")
         if not self.temperature < self.debye_temp / 10.0:
             raise ConfigurationError(
                 "low-temperature model requires temperature < debye_temp/10 "

@@ -2,10 +2,10 @@
 
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
 floats plus a metadata snapshot, ready for CSV serialisation.  Rows are
-computed independently per point, so running them across a thread pool gives
-bit-identical results to the serial path; the worker count defaults to the
-``QPAMP_WORKERS`` environment variable or, failing that, the machine's
-available parallelism.
+computed in order on the calling thread.  The ``workers`` argument and the
+``QPAMP_WORKERS`` environment variable are still accepted and validated, but
+no longer start threads: a row costs microseconds, and a pool only added
+hand-off overhead.
 
 Column values are in display units (mV, pF, GHz, MHz, Hz, dB) as indicated
 by the column names; everything inside the physics modules stays SI.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -113,9 +112,10 @@ class Optimum:
 
 
 def default_workers() -> int:
+    """The validated ``QPAMP_WORKERS`` setting, 1 when it is unset."""
     raw = os.environ.get("QPAMP_WORKERS")
     if raw is None:
-        return os.cpu_count() or 1
+        return 1
     try:
         workers = int(raw)
     except ValueError:
@@ -125,13 +125,12 @@ def default_workers() -> int:
     return workers
 
 
-def _map_points(func: Callable, points: Sequence[float], workers: int | None) -> list:
+def _map_points(func: Callable, points: Sequence[float], workers: int | None) -> tuple:
+    # Serial whatever ``workers`` says; an unset one still validates the
+    # environment so that a bad QPAMP_WORKERS fails loudly.
     if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(points) <= 1:
-        return [func(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, points))
+        default_workers()
+    return tuple(func(p) for p in points)
 
 
 def _metadata(spec: SweepSpec, **extra: object) -> dict[str, str]:
@@ -193,7 +192,7 @@ def bias_sweep(
             peak_db,
         )
 
-    rows = tuple(_map_points(row, spec.points(), workers))
+    rows = _map_points(row, spec.points(), workers)
     return SweepResult(
         variable=spec.variable,
         columns=(
@@ -240,7 +239,7 @@ def dielectric_sweep(
             resp.tan_delta_3,
         )
 
-    rows = tuple(_map_points(row, spec.points(), workers))
+    rows = _map_points(row, spec.points(), workers)
     return SweepResult(
         variable=spec.variable,
         columns=(
@@ -257,13 +256,15 @@ def dielectric_sweep(
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 241
+_XTOL = 1e-6  # volts
 
 
-def _golden_max(func: Callable[[float], float], a: float, b: float, xtol: float):
+def _golden_max(func: Callable[[float], float], a: float, b: float):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = func(c), func(d)
-    while (b - a) > xtol:
+    while (b - a) > _XTOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -281,14 +282,12 @@ def maximize_3wm(
     circuit: CircuitParams,
     drive: DriveSpec,
     v_range: tuple[float, float] = (0.0, 0.25),
-    grid_points: int = 241,
-    xtol: float = 1e-6,
 ) -> Optimum:
     """Find the bias that maximises |xi|: coarse grid scan + golden-section refine.
 
-    The grid has at least 200 points; the golden-section stage narrows the
-    best bracket down to ``xtol`` (default 1 microvolt).  A flat objective
-    (e.g. zero pump amplitude) raises `NumericalError`.
+    The grid has 241 points; the golden-section stage narrows the best
+    bracket down to 1 microvolt.  A flat objective (e.g. zero pump
+    amplitude) raises `NumericalError`.
     """
     lo, hi = v_range
     if not lo < hi:
@@ -297,14 +296,14 @@ def maximize_3wm(
     def objective(v0: float) -> float:
         return abs(three_wave_strength(v0, drive, design, circuit))
 
-    grid = np.linspace(lo, hi, max(grid_points, 200))
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     values = [objective(v) for v in grid]
     i_best = int(np.argmax(values))
     if values[i_best] == 0.0:
         raise NumericalError("three-wave strength is flat over the search range")
     a = float(grid[max(i_best - 1, 0)])
     b = float(grid[min(i_best + 1, len(grid) - 1)])
-    v_opt, f_opt = _golden_max(objective, a, b, xtol)
+    v_opt, f_opt = _golden_max(objective, a, b)
     if f_opt < values[i_best]:
         v_opt, f_opt = float(grid[i_best]), values[i_best]
     return Optimum(v0_max=v_opt, xi_max=f_opt)
@@ -317,13 +316,13 @@ def geometry_sweep(
     drive: DriveSpec,
     workers: int | None = None,
 ) -> SweepResult:
-    """Re-optimised couplings versus film thickness at fixed plate_area/thickness.
+    """Optimised couplings versus film thickness at fixed plate_area/thickness.
 
     Each row rescales the reference design to a new plate separation d
-    (keeping A/d, and with it the zero-bias capacitance, fixed), re-runs the
-    working-point search over a fixed bias-field window, and records the
-    optimum alongside the zero-bias Kerr strength.  The swept variable must
-    be ``plate_separation`` (values in metres).
+    (keeping A/d, and with it the zero-bias capacitance, fixed), biases it
+    at the optimum field E* of the working-point search, and records the
+    couplings there alongside the zero-bias Kerr strength.  The swept
+    variable must be ``plate_separation`` (values in metres).
     """
     if spec.variable != "plate_separation":
         raise ConfigurationError(
@@ -334,26 +333,38 @@ def geometry_sweep(
     # stays inside the trusted range as the film thickens.
     field_max = 0.25 / design.thickness
 
-    def row(thickness: float) -> tuple[float, ...]:
-        scaled = replace(
+    def scaled(thickness: float) -> VaractorDesign:
+        return replace(
             design,
             plate_area=area_ratio * thickness,
             thickness=thickness,
             v_max=design.v_max * thickness / design.thickness,
         )
-        best = maximize_3wm(scaled, circuit, drive, v_range=(0.0, field_max * thickness))
-        f0 = mode(best.v0_max, scaled, circuit).omega0 / _TWO_PI
-        k_zero = kerr_strength(0.0, scaled, circuit)
+
+    # With A/d fixed, C(v; d) = C(v/d) and |xi|(E; d) = f(E)/d, so every row
+    # peaks at the same field E*.  One search on the thickest film, whose
+    # voltage window is widest and so resolves E* finest, serves them all.
+    points = spec.points()
+    d_search = max(points)
+    best = maximize_3wm(scaled(d_search), circuit, drive, v_range=(0.0, field_max * d_search))
+    field_opt = best.v0_max / d_search
+
+    def row(thickness: float) -> tuple[float, ...]:
+        row_design = scaled(thickness)
+        v0 = field_opt * thickness
+        xi = abs(three_wave_strength(v0, drive, row_design, circuit))
+        f0 = mode(v0, row_design, circuit).omega0 / _TWO_PI
+        k_zero = kerr_strength(0.0, row_design, circuit)
         return (
             thickness * 1e9,
-            best.v0_max * 1e3,
+            v0 * 1e3,
             f0 / 1e9,
-            best.xi_max / _TWO_PI / 1e6,
+            xi / _TWO_PI / 1e6,
             k_zero / _TWO_PI,
-            best.xi_max / k_zero,
+            xi / k_zero,
         )
 
-    rows = tuple(_map_points(row, spec.points(), workers))
+    rows = _map_points(row, points, workers)
     return SweepResult(
         variable=spec.variable,
         columns=(

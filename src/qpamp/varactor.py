@@ -30,7 +30,6 @@ __all__ = [
     "ChargePoint",
     "capacitance",
     "capacitance_derivatives",
-    "finite_difference_capacitance_derivatives",
     "charge",
     "voltage_from_charge",
     "energy",
@@ -114,34 +113,6 @@ def capacitance_derivatives(
     return scale * eps_r, scale * d1 / d, scale * d2 / (d * d)
 
 
-def finite_difference_capacitance_derivatives(
-    voltage: float, design: VaractorDesign, rel_step: float = 1e-5
-) -> tuple[float, float]:
-    """Richardson-extrapolated central differences of C(v).
-
-    Cross-check for the analytic chain rule in `capacitance_derivatives`;
-    not used on the production path.  Returns ``(dC/dv, d2C/dv2)``.
-    """
-    h = rel_step * max(abs(voltage), 1e-3)
-
-    def d1(step):
-        return (capacitance(voltage + step, design) - capacitance(voltage - step, design)) / (
-            2.0 * step
-        )
-
-    def d2(step):
-        return (
-            capacitance(voltage + step, design)
-            - 2.0 * capacitance(voltage, design)
-            + capacitance(voltage - step, design)
-        ) / (step * step)
-
-    # One Richardson level on the O(h^2) central stencils -> O(h^4).
-    first = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
-    second = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-    return first, second
-
-
 def _quad(func, lo: float, hi: float, what: str) -> float:
     # Imported on first use: the design chain and the CLI never integrate.
     from scipy.integrate import quad
@@ -204,8 +175,7 @@ def energy_and_derivatives(voltage: float, design: VaractorDesign) -> ChargePoin
     """Full energy expansion of the varactor at a DC working point.
 
     All derivatives are analytic (chain rule through the permittivity
-    model); `finite_difference_capacitance_derivatives` provides an
-    independent numerical cross-check.
+    model); the tests check them against finite-difference stencils.
     """
     c, c1, c2 = capacitance_derivatives(voltage, design)
     u2 = 1.0 / c

@@ -81,3 +81,24 @@ def first_crossing_bisect(func, level: float, hi: float, scan: int = 4000) -> fl
             return 0.5 * (lo + up)
         lo = up
     return math.nan
+
+
+def finite_difference_capacitance_derivatives(capacitance, voltage: float, rel_step: float = 1e-5):
+    """Richardson-extrapolated central differences of a capacitance curve C(v).
+
+    ``capacitance`` is a one-argument callable; returns ``(dC/dv, d2C/dv2)``.
+    """
+    h = rel_step * max(abs(voltage), 1e-3)
+
+    def d1(step):
+        return (capacitance(voltage + step) - capacitance(voltage - step)) / (2.0 * step)
+
+    def d2(step):
+        return (
+            capacitance(voltage + step) - 2.0 * capacitance(voltage) + capacitance(voltage - step)
+        ) / (step * step)
+
+    # One Richardson level on the O(h^2) central stencils -> O(h^4).
+    first = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
+    second = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+    return first, second

@@ -183,9 +183,31 @@ class TestGainProfile:
         def power(u):
             return abs(reflection(center + u * kappa, xi, rates)) ** 2
 
-        offset = first_crossing_bisect(power, half, GridSpec().half_span_kappa)
-        assert math.isfinite(offset)
-        assert abs(profile.bandwidth / kappa - 2.0 * offset) <= 1e-9
+        # Detuning skews the curve, so each side is bisected on its own.
+        span = GridSpec().half_span_kappa
+        upper = first_crossing_bisect(power, half, span)
+        lower = first_crossing_bisect(lambda u: power(-u), half, span)
+        assert math.isfinite(upper) and math.isfinite(lower)
+        assert abs(profile.bandwidth / kappa - (upper + lower)) <= 1e-9
+
+    def test_detuned_bandwidth_is_the_full_width(self):
+        # |R(-u; delta)| = |R(u; -delta)|: opposite detunings give mirrored
+        # curves and so the same full width.
+        widths = []
+        for sign in (1.0, -1.0):
+            rates = RateBudget(
+                BUDGET.omega0, BUDGET.kappa_int, BUDGET.kappa_ext, delta=sign * 0.5 * BUDGET.kappa
+            )
+            xi = 0.9 * math.hypot(rates.delta, rates.kappa / 2.0)
+            widths.append(profile_from_rates(rates, xi).bandwidth / rates.kappa)
+        assert widths[0] == pytest.approx(0.21547, abs=1e-5)
+        assert widths[1] == pytest.approx(widths[0], rel=1e-12)
+
+    def test_centered_bandwidth_unchanged(self):
+        # Full width at zero detuning, as computed before the two half-power
+        # offsets were found separately (twice the upper one).
+        profile = profile_from_rates(BUDGET, 0.9 * BUDGET.kappa / 2.0)
+        assert profile.bandwidth / BUDGET.kappa == pytest.approx(0.10108489170841178, rel=1e-12)
 
     def test_sub_3db_peak_has_no_bandwidth(self):
         # The curve dips below half power inside the span but is back above
@@ -222,6 +244,8 @@ class TestGainProfile:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(count=1)
+        with pytest.raises(ValueError):
+            GridSpec(count=800)  # no sample on the pumped center
         with pytest.raises(ValueError):
             GridSpec(half_span_kappa=0.0)
 

@@ -173,6 +173,12 @@ class TestConfigDiagnostics:
         assert f"[drive] {key}" in capsys.readouterr().err
         assert not (tmp_path / "design.kv").exists()
 
+    def test_even_gain_count_rejected(self, tmp_path, capsys):
+        # An even grid has no sample on the pumped center, so no 3-dB width.
+        assert main(["gain", "--out", str(tmp_path), "--override", "gain.count=800"]) == 2
+        assert "[gain] count" in capsys.readouterr().err
+        assert not (tmp_path / "gain.csv").exists()
+
     def test_invalid_workers_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QPAMP_WORKERS", "many")
         assert main(["material", "--out", str(tmp_path)]) == 2
@@ -476,10 +482,13 @@ class TestOutputContract:
         assert seen == {k: [] for k in ("import", "material", "design", "gain", "sweep")}
 
     def test_console_script_is_wired(self, tmp_path):
+        src = str(Path(qpamp.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "qpamp.cli", "material", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0
         assert (tmp_path / "material.csv").exists()

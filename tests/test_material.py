@@ -275,3 +275,23 @@ class TestParams:
             MaterialParams(**{**STO.__dict__, "inhomogeneity": -0.1})
         with pytest.raises(ConfigurationError):
             MaterialParams(**{**STO.__dict__, "temperature": 20.0})
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "eps00_rel",
+            "curie_temp",
+            "debye_temp",
+            "renorm_field",
+            "inhomogeneity",
+            "a1",
+            "a2",
+            "a3",
+            "defect_density",
+            "temperature",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            MaterialParams(**{**STO.__dict__, name: value})

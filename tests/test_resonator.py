@@ -201,5 +201,15 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             DriveSpec(v_ac=-1e-3)
 
+    @pytest.mark.parametrize("v_ac", [math.nan, math.inf, -math.inf])
+    def test_drive_rejects_non_finite_amplitude(self, v_ac):
+        with pytest.raises(ConfigurationError):
+            DriveSpec(v_ac=v_ac)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_drive_rejects_non_finite_phase(self, theta):
+        with pytest.raises(ConfigurationError):
+            DriveSpec(v_ac=1e-3, theta=theta)
+
     def test_charge_amplitude(self):
         assert DriveSpec(2e-3).charge_amplitude(5e-12) == pytest.approx(1e-14, rel=1e-15)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import qpamp.sweep
 
 from qpamp import (
     KTO,
@@ -207,6 +210,40 @@ class TestGeometrySweep:
             kerr_strength(0.0, STO_DESIGN, CIRCUIT) / TWO_PI, rel=1e-12
         )
 
+    def test_one_search_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return maximize_3wm(*args, **kwargs)
+
+        monkeypatch.setattr(qpamp.sweep, "maximize_3wm", counting)
+        spec = SweepSpec("plate_separation", 1e-7, 1e-4, 12, spacing="log")
+        geometry_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE)
+        assert len(calls) == 1
+        assert calls[0][0].thickness == pytest.approx(1e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("design", [STO_DESIGN, KTO_DESIGN], ids=["sto", "kto"])
+    def test_rows_match_direct_optima(self, design):
+        # Every row, biased at the shared optimum field, is as good as a
+        # search of its own scaled design over the same field window.
+        spec = SweepSpec("plate_separation", 1e-7, 1e-4, 12, spacing="log")
+        result = geometry_sweep(spec, design, CIRCUIT, DRIVE)
+        area_ratio = design.plate_area / design.thickness
+        for d, v0_mv, xi_mhz in zip(
+            spec.points(), result.column("v0_max_mv"), result.column("xi_max_mhz")
+        ):
+            scaled = replace(
+                design,
+                plate_area=area_ratio * d,
+                thickness=d,
+                v_max=design.v_max * d / design.thickness,
+            )
+            best = maximize_3wm(scaled, CIRCUIT, DRIVE, v_range=(0.0, 0.25 * d / design.thickness))
+            assert abs(v0_mv * 1e-3 - best.v0_max) <= 2e-6
+            direct = best.xi_max / TWO_PI / 1e6
+            assert xi_mhz >= direct * (1.0 - 1e-12)
+
     def test_parallel_matches_serial_bitwise(self):
         spec = SweepSpec("plate_separation", 1e-7, 1e-5, 5, spacing="log")
         serial = geometry_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE, workers=1)
@@ -281,4 +318,4 @@ class TestWorkers:
 
     def test_env_unset(self, monkeypatch):
         monkeypatch.delenv("QPAMP_WORKERS", raising=False)
-        assert default_workers() >= 1
+        assert default_workers() == 1
