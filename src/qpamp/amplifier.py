@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ThresholdError
+from .errors import ConfigurationError, ThresholdError
 from .material import loss_tangent
 from .resonator import CircuitParams, DriveSpec, hbar, mode, three_wave_strength
 from .varactor import VaractorDesign
@@ -60,6 +60,15 @@ class RateBudget:
     kappa_int: float
     kappa_ext: float
     delta: float = 0.0
+
+    def __post_init__(self):
+        for name in ("omega0", "kappa_ext"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"rate {name!r} must be finite and positive")
+        if not 0.0 <= self.kappa_int < math.inf:
+            raise ConfigurationError("rate 'kappa_int' must be finite and non-negative")
+        if not math.isfinite(self.delta):
+            raise ConfigurationError("rate 'delta' must be finite")
 
     @property
     def kappa(self) -> float:

@@ -106,15 +106,27 @@ _REPORT_FIELDS = (
 )
 
 
-def cmd_design(config: ToolConfig) -> None:
-    """Working-point search and full design report."""
-    sections = effective_sections(config, "design")
+def _working_point(sections: dict):
+    """(design, circuit, drive, optimum) of the configured bias search window."""
     design = varactor_design(sections)
     circuit = circuit_params(sections)
     drive = drive_spec(sections)
     window = sweep_spec(sections)
-
     best = maximize_3wm(design, circuit, drive, v_range=(window.start, window.stop))
+    if best.on_window_edge:
+        print(
+            f"qpamp: warning: working-point bias {best.v0_max * 1e3:.6g} mV is on the edge of "
+            f"the search window [{window.start * 1e3:.6g}, {window.stop * 1e3:.6g}] mV; "
+            "|xi| may peak outside it",
+            file=sys.stderr,
+        )
+    return design, circuit, drive, best
+
+
+def cmd_design(config: ToolConfig) -> None:
+    """Working-point search and full design report."""
+    sections = effective_sections(config, "design")
+    design, circuit, drive, best = _working_point(sections)
     coeffs = operating_point(best.v0_max, drive, design, circuit)
     rates = rate_budget(best.v0_max, design, circuit)
     comp = compression_estimate(coeffs.k_eff, rates)
@@ -158,12 +170,7 @@ def cmd_design(config: ToolConfig) -> None:
 def cmd_gain(config: ToolConfig) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     sections = effective_sections(config, "gain")
-    design = varactor_design(sections)
-    circuit = circuit_params(sections)
-    drive = drive_spec(sections)
-    window = sweep_spec(sections)
-
-    best = maximize_3wm(design, circuit, drive, v_range=(window.start, window.stop))
+    design, circuit, _, best = _working_point(sections)
     rates = rate_budget(best.v0_max, design, circuit)
     grid = GridSpec(
         count=sections["gain"]["count"],

@@ -33,15 +33,16 @@ Loss is a sum of three small contributions, each proportional to a power of
 loss from the bias-induced displacement (``a2``), and charged-defect loss
 (``a3``, requires a characterised defect density).
 
-All inputs and outputs are SI; bias fields are in V/m.
+All inputs and outputs are SI; bias fields are in V/m.  `permittivity`,
+`permittivity_derivatives` and `dielectric_response` share one evaluation
+of (lam, eta, y, G) and take either a float, returning floats, or a numpy
+array of fields, returning arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError
 
@@ -60,6 +61,18 @@ __all__ = [
     "dielectric_response",
     "loss_tangent",
 ]
+
+
+def eta(params: MaterialParams) -> float:
+    """Barrier parameter of the quantum-paraelectric ground state.
+
+    eta = (debye_temp / curie_temp) * sqrt(1/16 + (T/debye_temp)**2) - 1.
+
+    Positive eta means quantum fluctuations keep the crystal paraelectric
+    down to T = 0; the T -> 0 limit is ``debye_temp / (4 curie_temp) - 1``.
+    """
+    t_ratio = params.temperature / params.debye_temp
+    return (params.debye_temp / params.curie_temp) * math.sqrt(1.0 / 16.0 + t_ratio * t_ratio) - 1.0
 
 
 @dataclass(frozen=True)
@@ -118,11 +131,17 @@ class MaterialParams:
                 "low-temperature model requires temperature < debye_temp/10 "
                 f"(got {self.temperature} K vs {self.debye_temp} K)"
             )
+        eta_val = eta(self)
+        if eta_val < 0.0:
+            raise ConfigurationError(
+                f"material parameters give eta = {eta_val:.6g} < 0, a ferroelectric ground "
+                "state outside the quantum-paraelectric model (needs debye_temp > 4 curie_temp)"
+            )
 
 
 @dataclass(frozen=True)
 class DielectricResponse:
-    """Full dielectric state of a material at one bias field.
+    """Full dielectric state of a material at one bias field (or an array of them).
 
     ``loss_tangent`` is the total tan(delta); the three ``tan_delta_*``
     fields give the breakdown by mechanism.  ``gamma`` is the loss kernel
@@ -183,34 +202,23 @@ def builtin_material(name: str) -> MaterialParams:
         ) from None
 
 
-def eta(params: MaterialParams) -> float:
-    """Barrier parameter of the quantum-paraelectric ground state.
-
-    eta = (debye_temp / curie_temp) * sqrt(1/16 + (T/debye_temp)**2) - 1.
-
-    Positive eta means quantum fluctuations keep the crystal paraelectric
-    down to T = 0; the T -> 0 limit is ``debye_temp / (4 curie_temp) - 1``.
-    """
-    t_ratio = params.temperature / params.debye_temp
-    return (params.debye_temp / params.curie_temp) * math.sqrt(1.0 / 16.0 + t_ratio * t_ratio) - 1.0
-
-
-def normalized_bias(bias_field: float, params: MaterialParams) -> float:
+def normalized_bias(bias_field, params: MaterialParams):
     """Normalised bias ``lam = sqrt(lam_s**2 + (E/E_N)**2)`` (dimensionless)."""
-    return math.hypot(params.inhomogeneity, bias_field / params.renorm_field)
+    x = bias_field / params.renorm_field
+    return (params.inhomogeneity**2 + x * x) ** 0.5
 
 
-def _solve_cubic(lam: float, eta_val: float) -> float:
+def _solve_cubic(lam, eta_val: float):
     # Real root of y^3 + 3 eta y = 2 lam via Cardano cube roots
     # u = (s + lam)^(1/3), w = (s - lam)^(1/3), s = sqrt(lam^2 + eta^3).
     # s - lam loses all significant digits once lam >> eta^(3/2), and u - w
     # does the same for lam << eta^(3/2); both are replaced by identities
-    # (u*w = eta, u^3 - w^3 = 2 lam) that only add positive terms.
+    # (u*w = eta, u^3 - w^3 = 2 lam) that only add positive terms.  The
+    # cube roots are powers of positive numbers, so a float stays a float.
     eta3 = eta_val**3
-    s = math.sqrt(lam * lam + eta3)
-    plus = s + lam
-    u = float(np.cbrt(plus))
-    w = float(np.cbrt(eta3 / plus))
+    plus = (lam * lam + eta3) ** 0.5 + lam
+    u = plus ** (1.0 / 3.0)
+    w = (eta3 / plus) ** (1.0 / 3.0)
     return 2.0 * lam / (u * u + w * w + eta_val)
 
 
@@ -239,19 +247,28 @@ def displacement(lam: float, eta_val: float) -> float:
     return _solve_cubic(lam, eta_val)
 
 
-def permittivity(bias_field: float, params: MaterialParams) -> float:
+def _state(bias_field, params: MaterialParams):
+    """(lam, eta, y, G) at one bias field or at an array of them."""
+    eta_val = eta(params)
+    if not eta_val > 0.0:
+        # MaterialParams refuses eta < 0; eta = 0 is the quantum critical point.
+        raise ConfigurationError("the quantum-paraelectric model needs eta > 0, got eta = 0")
+    lam = normalized_bias(bias_field, params)
+    y = _solve_cubic(lam, eta_val)
+    return lam, eta_val, y, 1.0 / (y * y + eta_val)
+
+
+def permittivity(bias_field, params: MaterialParams):
     """Relative permittivity ``eps_r(E) = eps00_rel * G(lam(E), eta)``."""
-    return params.eps00_rel * greens(normalized_bias(bias_field, params), eta(params))
+    return params.eps00_rel * _state(bias_field, params)[3]
 
 
-def permittivity_derivatives(
-    bias_field: float, params: MaterialParams
-) -> tuple[float, float, float]:
+def permittivity_derivatives(bias_field, params: MaterialParams):
     """Relative permittivity and its first two derivatives w.r.t. the bias field.
 
     Returns
     -------
-    (eps_r, deps_dE, d2eps_dE2) : tuple of float
+    (eps_r, deps_dE, d2eps_dE2) : tuple of float, or of arrays for an array of fields
         ``eps_r`` dimensionless, derivatives in (V/m)^-1 and (V/m)^-2.
 
     Notes
@@ -264,34 +281,33 @@ def permittivity_derivatives(
         dlam/dE   = E / (E_N**2 lam)
         d2lam/dE2 = lam_s**2 / (E_N**2 lam**3)
 
-    For an ideal crystal (``lam_s = 0``) at zero bias the chain rule is
-    indeterminate; the even-symmetry limit ``deps/dE = 0``,
-    ``d2eps/dE2 = eps00_rel * G'' / E_N**2`` applies instead.
+    The cubic gives ``y / lam = 2 / (y**2 + 3 eta)``, which takes lam out
+    of every denominator:
+
+        deps/dE   = eps00_rel * (-4/3) G**3 (2 / (y**2 + 3 eta)) E / E_N**2
+        d2eps/dE2 = (eps00_rel / E_N**2) [G'' (1 - s) + (G'/lam) s]
+
+    with ``s = lam_s**2 / lam**2``.  Both hold at zero bias, also for an
+    ideal crystal (``lam_s = 0``), where s = 0 follows from the parameter.
     """
-    eta_val = eta(params)
-    lam = normalized_bias(bias_field, params)
-    _check_args(lam, eta_val)
-    y = _solve_cubic(lam, eta_val)
-    g = 1.0 / (y * y + eta_val)
-    eps_r = params.eps00_rel * g
-    dg = -(4.0 / 3.0) * g**3 * y
-    d2g = (16.0 / 3.0) * g**5 * y * y - (8.0 / 9.0) * g**4
-    en2 = params.renorm_field**2
-    if lam == 0.0:
-        return eps_r, 0.0, params.eps00_rel * d2g / en2
-    dlam = bias_field / (en2 * lam)
-    d2lam = params.inhomogeneity**2 / (en2 * lam**3)
+    lam, eta_val, y, g = _state(bias_field, params)
+    g3 = g * g * g
+    dg_per_lam = -(8.0 / 3.0) * g3 / (y * y + 3.0 * eta_val)
+    d2g = (16.0 / 3.0) * g3 * g * g * y * y - (8.0 / 9.0) * g3 * g
+    s = (params.inhomogeneity / lam) ** 2 if params.inhomogeneity > 0.0 else 0.0
+    scale = params.eps00_rel / params.renorm_field**2
     return (
-        eps_r,
-        params.eps00_rel * dg * dlam,
-        params.eps00_rel * (d2g * dlam * dlam + dg * d2lam),
+        params.eps00_rel * g,
+        scale * dg_per_lam * bias_field,
+        scale * (d2g * (1.0 - s) + dg_per_lam * s),
     )
 
 
-def dielectric_response(bias_field: float, params: MaterialParams) -> DielectricResponse:
+def dielectric_response(bias_field, params: MaterialParams) -> DielectricResponse:
     """Evaluate permittivity and the full loss budget at one bias field.
 
-    The three loss channels are
+    An array of fields gives a response whose fields (all but ``eta``) are
+    arrays.  The three loss channels are
 
         tan_delta_1 = a1 * (T / T_c)**2 * G**(3/2)     (multi-phonon)
         tan_delta_2 = a2 * y**2 * G                    (quasi-Debye)
@@ -302,22 +318,18 @@ def dielectric_response(bias_field: float, params: MaterialParams) -> Dielectric
     ConfigurationError
         If ``defect_density > 0`` but no ``a3`` coefficient is set.
     """
-    eta_val = eta(params)
-    lam = normalized_bias(bias_field, params)
-    _check_args(lam, eta_val)
-    y = _solve_cubic(lam, eta_val)
-    g = 1.0 / (y * y + eta_val)
-    t_ratio = params.temperature / params.curie_temp
-    tan1 = params.a1 * t_ratio * t_ratio * g**1.5
-    tan2 = params.a2 * y * y * g
+    defect = 0.0
     if params.defect_density > 0.0:
         if params.a3 is None:
             raise ConfigurationError(
                 "defect_density > 0 requires the charged-defect loss coefficient a3"
             )
-        tan3 = params.a3 * params.defect_density * g
-    else:
-        tan3 = 0.0
+        defect = params.a3 * params.defect_density
+    lam, eta_val, y, g = _state(bias_field, params)
+    t_ratio = params.temperature / params.curie_temp
+    tan1 = params.a1 * t_ratio * t_ratio * g**1.5
+    tan2 = params.a2 * y * y * g
+    tan3 = defect * g
     total = tan1 + tan2 + tan3
     return DielectricResponse(
         bias_field=bias_field,

@@ -58,10 +58,9 @@ class CircuitParams:
     q_ext: float = 100.0
 
     def __post_init__(self):
-        if not self.inductance > 0.0:
-            raise ConfigurationError("inductance must be positive")
-        if not self.q_ext > 0.0:
-            raise ConfigurationError("q_ext must be positive")
+        for name in ("inductance", "q_ext"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"circuit parameter {name!r} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -100,66 +99,63 @@ class ModeCoefficients:
     k_eff: float
 
 
-def mode(v0: float, design: VaractorDesign, circuit: CircuitParams) -> ModeCoefficients:
-    """Linear mode constants (frequency, impedance, zero-point scales) at bias v0."""
-    c = capacitance(v0, design)
-    omega0 = 1.0 / (circuit.inductance * c) ** 0.5
+def _mode(c, circuit: CircuitParams, xi=0.0j, k_eff=0.0) -> ModeCoefficients:
     z0 = (circuit.inductance / c) ** 0.5
     q_zpf = (hbar / (2.0 * z0)) ** 0.5
-    phi_zpf = (hbar * z0 / 2.0) ** 0.5
     return ModeCoefficients(
-        omega0=omega0,
+        omega0=1.0 / (circuit.inductance * c) ** 0.5,
         z0=z0,
         q_zpf=q_zpf,
-        phi_zpf=phi_zpf,
+        phi_zpf=(hbar * z0 / 2.0) ** 0.5,
         v_zpf=q_zpf / c,
-        xi=0.0j,
-        k_eff=0.0,
+        xi=xi,
+        k_eff=k_eff,
     )
 
 
-def three_wave_strength(
-    v0: float, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams
-) -> complex:
+def _v_zpf2(c, circuit: CircuitParams):
+    # v_zpf**2 = q_zpf**2 / C**2 with q_zpf**2 = hbar / (2 z0).
+    return hbar / (2.0 * (circuit.inductance / c) ** 0.5) / (c * c)
+
+
+def _xi(c, c1, drive: DriveSpec, circuit: CircuitParams):
+    magnitude = c1 * drive.v_ac * _v_zpf2(c, circuit) / (2.0 * hbar)
+    return magnitude * cmath.exp(-1j * drive.theta)
+
+
+def _k_eff(c, c1, c2, circuit: CircuitParams):
+    return (-c2 + 3.0 * c1 * c1 / c) * _v_zpf2(c, circuit) ** 2 / (2.0 * hbar)
+
+
+def mode(v0, design: VaractorDesign, circuit: CircuitParams) -> ModeCoefficients:
+    """Linear mode constants (frequency, impedance, zero-point scales) at bias v0."""
+    return _mode(capacitance(v0, design), circuit)
+
+
+def three_wave_strength(v0, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams):
     """Complex degenerate three-wave strength xi [rad/s] at working point v0.
 
     Zero at v0 = 0 (the capacitance curve is even there) and odd in v0;
     linear in the pump amplitude; the pump phase enters as exp(-i theta).
     """
     c, c1, _ = capacitance_derivatives(v0, design)
-    z0 = (circuit.inductance / c) ** 0.5
-    q_zpf2 = hbar / (2.0 * z0)
-    v_zpf2 = q_zpf2 / (c * c)
-    magnitude = c1 * drive.v_ac * v_zpf2 / (2.0 * hbar)
-    return magnitude * cmath.exp(-1j * drive.theta)
+    return _xi(c, c1, drive, circuit)
 
 
-def kerr_strength(v0: float, design: VaractorDesign, circuit: CircuitParams) -> float:
+def kerr_strength(v0, design: VaractorDesign, circuit: CircuitParams):
     """Effective Kerr shift per photon k_eff [rad/s] at working point v0.
 
     Even in v0 and maximal at zero bias for these materials.
     """
-    c, c1, c2 = capacitance_derivatives(v0, design)
-    z0 = (circuit.inductance / c) ** 0.5
-    q_zpf2 = hbar / (2.0 * z0)
-    v_zpf4 = (q_zpf2 / (c * c)) ** 2
-    return (-c2 + 3.0 * c1 * c1 / c) * v_zpf4 / (2.0 * hbar)
+    return _k_eff(*capacitance_derivatives(v0, design), circuit)
 
 
 def operating_point(
-    v0: float, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams
+    v0, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams
 ) -> ModeCoefficients:
-    """Mode constants with the parametric couplings filled in."""
-    linear = mode(v0, design, circuit)
-    return ModeCoefficients(
-        omega0=linear.omega0,
-        z0=linear.z0,
-        q_zpf=linear.q_zpf,
-        phi_zpf=linear.phi_zpf,
-        v_zpf=linear.v_zpf,
-        xi=three_wave_strength(v0, drive, design, circuit),
-        k_eff=kerr_strength(v0, design, circuit),
-    )
+    """Mode constants with the parametric couplings filled in, from one chain evaluation."""
+    c, c1, c2 = capacitance_derivatives(v0, design)
+    return _mode(c, circuit, _xi(c, c1, drive, circuit), _k_eff(c, c1, c2, circuit))
 
 
 def pump_photon_estimate(
@@ -173,6 +169,6 @@ def pump_photon_estimate(
     below any depletion regime.
     """
     c = capacitance(v0, design)
-    q_zpf = mode(v0, design, circuit).q_zpf
+    q_zpf = _mode(c, circuit).q_zpf
     ratio = drive.charge_amplitude(c) / (2.0 * q_zpf)
     return ratio * ratio

@@ -1,11 +1,12 @@
 """Parameter sweeps and the working-point optimiser.
 
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
-floats plus a metadata snapshot, ready for CSV serialisation.  Rows are
-computed in order on the calling thread.  The ``workers`` argument and the
+floats plus a metadata snapshot, ready for CSV serialisation.  Bias and
+bias-field tables are computed by column, from one array evaluation of the
+material -> varactor -> resonator chain; plate-separation rows (each a
+different design) are computed in order.  The ``workers`` argument and the
 ``QPAMP_WORKERS`` environment variable are still accepted and validated, but
-no longer start threads: a row costs microseconds, and a pool only added
-hand-off overhead.
+start no threads.
 
 Column values are in display units (mV, pF, GHz, MHz, Hz, dB) as indicated
 by the column names; everything inside the physics modules stays SI.
@@ -16,19 +17,19 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._version import __version__
-from .amplifier import RateBudget, rate_budget, reflection
+from .amplifier import RateBudget, reflection
 from .errors import ConfigurationError, NumericalError, ThresholdError
 from .material import MaterialParams, dielectric_response
 from .resonator import (
     CircuitParams,
     DriveSpec,
     kerr_strength,
-    mode,
+    operating_point,
     three_wave_strength,
 )
 from .varactor import VaractorDesign
@@ -70,6 +71,9 @@ class SweepSpec:
             raise ConfigurationError(
                 f"unknown sweep variable {self.variable!r}; choose from {SWEEP_VARIABLES}"
             )
+        for name in ("start", "stop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"sweep {name!r} must be finite")
         if self.spacing not in ("linear", "log"):
             raise ConfigurationError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.count < 1:
@@ -105,10 +109,16 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class Optimum:
-    """Result of the three-wave working-point search."""
+    """Result of the three-wave working-point search.
+
+    ``on_window_edge`` is true when ``v0_max`` lies within the search
+    resolution (1 microvolt) of either end of the search window: |xi| may
+    then keep growing outside it.
+    """
 
     v0_max: float
     xi_max: float
+    on_window_edge: bool
 
 
 def default_workers() -> int:
@@ -125,12 +135,19 @@ def default_workers() -> int:
     return workers
 
 
-def _map_points(func: Callable, points: Sequence[float], workers: int | None) -> tuple:
-    # Serial whatever ``workers`` says; an unset one still validates the
-    # environment so that a bad QPAMP_WORKERS fails loudly.
+def _check_workers(workers: int | None) -> None:
+    # Sweeps are serial whatever ``workers`` says; an unset one still
+    # validates the environment so that a bad QPAMP_WORKERS fails loudly.
     if workers is None:
         default_workers()
-    return tuple(func(p) for p in points)
+
+
+def _peak_gain_db(omega0: float, kappa_int: float, kappa_ext: float, xi: float) -> float:
+    rates = RateBudget(omega0=omega0, kappa_int=kappa_int, kappa_ext=kappa_ext)
+    try:
+        return 20.0 * math.log10(abs(reflection(rates.omega_p / 2.0, xi, rates)))
+    except ThresholdError:
+        return math.nan
 
 
 def _metadata(spec: SweepSpec, **extra: object) -> dict[str, str]:
@@ -162,52 +179,29 @@ def bias_sweep(
     """
     if spec.variable != "bias_voltage":
         raise ConfigurationError(f"bias_sweep needs variable 'bias_voltage', got {spec.variable!r}")
-
-    def row(v0: float) -> tuple[float, ...]:
-        resp = dielectric_response(design.bias_field(v0), design.material)
-        coeffs = mode(v0, design, circuit)
-        xi = abs(three_wave_strength(v0, drive, design, circuit))
-        k_eff = kerr_strength(v0, design, circuit)
-        rates = RateBudget(
-            omega0=coeffs.omega0,
-            kappa_int=coeffs.omega0 * resp.loss_tangent,
-            kappa_ext=coeffs.omega0 / circuit.q_ext,
-        )
-        try:
-            r_center = reflection(rates.omega_p / 2.0, xi, rates)
-            peak_db = 20.0 * math.log10(abs(r_center))
-        except ThresholdError:
-            peak_db = math.nan
-        cap = coeffs.q_zpf / coeffs.v_zpf
-        return (
-            v0 * 1e3,
-            resp.eps_rel,
-            resp.loss_tangent,
-            cap * 1e12,
-            coeffs.omega0 / _TWO_PI / 1e9,
-            xi / _TWO_PI / 1e6,
-            k_eff / _TWO_PI,
-            rates.kappa_int / _TWO_PI / 1e6,
-            rates.kappa_ext / _TWO_PI / 1e6,
-            peak_db,
-        )
-
-    rows = _map_points(row, spec.points(), workers)
+    _check_workers(workers)
+    v0 = np.array(spec.points())
+    resp = dielectric_response(design.bias_field(v0), design.material)
+    coeffs = operating_point(v0, drive, design, circuit)
+    xi = np.abs(coeffs.xi)
+    kappa_int = coeffs.omega0 * resp.loss_tangent
+    kappa_ext = coeffs.omega0 / circuit.q_ext
+    columns = {
+        "v0_mv": v0 * 1e3,
+        "eps_r": resp.eps_rel,
+        "tan_delta": resp.loss_tangent,
+        "c_pf": coeffs.q_zpf / coeffs.v_zpf * 1e12,
+        "f0_ghz": coeffs.omega0 / _TWO_PI / 1e9,
+        "xi_mhz": xi / _TWO_PI / 1e6,
+        "keff_hz": coeffs.k_eff / _TWO_PI,
+        "kappa_int_mhz": kappa_int / _TWO_PI / 1e6,
+        "kappa_ext_mhz": kappa_ext / _TWO_PI / 1e6,
+    }
+    peak_db = map(_peak_gain_db, *(a.tolist() for a in (coeffs.omega0, kappa_int, kappa_ext, xi)))
     return SweepResult(
         variable=spec.variable,
-        columns=(
-            "v0_mv",
-            "eps_r",
-            "tan_delta",
-            "c_pf",
-            "f0_ghz",
-            "xi_mhz",
-            "keff_hz",
-            "kappa_int_mhz",
-            "kappa_ext_mhz",
-            "peak_gain_db",
-        ),
-        rows=rows,
+        columns=(*columns, "peak_gain_db"),
+        rows=tuple(zip(*(values.tolist() for values in columns.values()), peak_db)),
         metadata=_metadata(
             spec,
             plate_area_m2=repr(design.plate_area),
@@ -227,30 +221,21 @@ def dielectric_sweep(
         raise ConfigurationError(
             f"dielectric_sweep needs variable 'bias_field', got {spec.variable!r}"
         )
-
-    def row(field: float) -> tuple[float, ...]:
-        resp = dielectric_response(field, material)
-        return (
-            field / 1e6,
-            resp.eps_rel,
-            resp.loss_tangent,
-            resp.tan_delta_1,
-            resp.tan_delta_2,
-            resp.tan_delta_3,
-        )
-
-    rows = _map_points(row, spec.points(), workers)
+    _check_workers(workers)
+    fields = np.array(spec.points())
+    resp = dielectric_response(fields, material)
+    columns = {
+        "E_V_per_um": fields / 1e6,
+        "eps_r": resp.eps_rel,
+        "tan_delta": resp.loss_tangent,
+        "tan_delta_1": resp.tan_delta_1,
+        "tan_delta_2": resp.tan_delta_2,
+        "tan_delta_3": resp.tan_delta_3,
+    }
     return SweepResult(
         variable=spec.variable,
-        columns=(
-            "E_V_per_um",
-            "eps_r",
-            "tan_delta",
-            "tan_delta_1",
-            "tan_delta_2",
-            "tan_delta_3",
-        ),
-        rows=rows,
+        columns=tuple(columns),
+        rows=tuple(zip(*(values.tolist() for values in columns.values()))),
         metadata=_metadata(spec, eps00_rel=repr(material.eps00_rel)),
     )
 
@@ -296,17 +281,19 @@ def maximize_3wm(
     def objective(v0: float) -> float:
         return abs(three_wave_strength(v0, drive, design, circuit))
 
-    grid = np.linspace(lo, hi, _GRID_POINTS)
+    # Python floats keep each call in float arithmetic, not numpy scalars.
+    grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
     values = [objective(v) for v in grid]
     i_best = int(np.argmax(values))
     if values[i_best] == 0.0:
         raise NumericalError("three-wave strength is flat over the search range")
-    a = float(grid[max(i_best - 1, 0)])
-    b = float(grid[min(i_best + 1, len(grid) - 1)])
+    a = grid[max(i_best - 1, 0)]
+    b = grid[min(i_best + 1, len(grid) - 1)]
     v_opt, f_opt = _golden_max(objective, a, b)
     if f_opt < values[i_best]:
-        v_opt, f_opt = float(grid[i_best]), values[i_best]
-    return Optimum(v0_max=v_opt, xi_max=f_opt)
+        v_opt, f_opt = grid[i_best], values[i_best]
+    on_edge = min(v_opt - lo, hi - v_opt) <= _XTOL
+    return Optimum(v0_max=v_opt, xi_max=f_opt, on_window_edge=on_edge)
 
 
 def geometry_sweep(
@@ -328,6 +315,7 @@ def geometry_sweep(
         raise ConfigurationError(
             f"geometry_sweep needs variable 'plate_separation', got {spec.variable!r}"
         )
+    _check_workers(workers)
     area_ratio = design.plate_area / design.thickness
     # Keep the *field* window of the reference search fixed so the optimum
     # stays inside the trusted range as the film thickens.
@@ -352,19 +340,18 @@ def geometry_sweep(
     def row(thickness: float) -> tuple[float, ...]:
         row_design = scaled(thickness)
         v0 = field_opt * thickness
-        xi = abs(three_wave_strength(v0, drive, row_design, circuit))
-        f0 = mode(v0, row_design, circuit).omega0 / _TWO_PI
+        coeffs = operating_point(v0, drive, row_design, circuit)
+        xi = abs(coeffs.xi)
         k_zero = kerr_strength(0.0, row_design, circuit)
         return (
             thickness * 1e9,
             v0 * 1e3,
-            f0 / 1e9,
+            coeffs.omega0 / _TWO_PI / 1e9,
             xi / _TWO_PI / 1e6,
             k_zero / _TWO_PI,
             xi / k_zero,
         )
 
-    rows = _map_points(row, points, workers)
     return SweepResult(
         variable=spec.variable,
         columns=(
@@ -375,7 +362,7 @@ def geometry_sweep(
             "keff_zero_hz",
             "xi_over_keff",
         ),
-        rows=rows,
+        rows=tuple(map(row, points)),
         metadata=_metadata(
             spec,
             area_per_thickness_m=repr(area_ratio),

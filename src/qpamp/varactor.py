@@ -20,6 +20,7 @@ evaluated at the working point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, NumericalError
@@ -59,10 +60,10 @@ class VaractorDesign:
 
     def __post_init__(self):
         for name in ("plate_area", "thickness", "v_max"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"varactor parameter {name!r} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"varactor parameter {name!r} must be finite and positive")
 
-    def bias_field(self, voltage: float) -> float:
+    def bias_field(self, voltage):
         """Film field E = v / d for a plate voltage v."""
         return voltage / self.thickness
 
@@ -94,23 +95,25 @@ def _check_range(voltage: float, design: VaractorDesign) -> None:
         )
 
 
-def capacitance(voltage: float, design: VaractorDesign) -> float:
-    """Small-signal capacitance C(v) [F] at plate voltage v."""
-    eps_r = permittivity(design.bias_field(voltage), design.material)
+def _capacitance(eps_r, design: VaractorDesign):
     return epsilon_0 * eps_r * design.plate_area / design.thickness
 
 
-def capacitance_derivatives(
-    voltage: float, design: VaractorDesign
-) -> tuple[float, float, float]:
+def capacitance(voltage, design: VaractorDesign):
+    """Small-signal capacitance C(v) [F] at plate voltage v (a float or an array)."""
+    return _capacitance(permittivity(design.bias_field(voltage), design.material), design)
+
+
+def capacitance_derivatives(voltage, design: VaractorDesign):
     """C(v) and its first two voltage derivatives, all analytic.
 
-    Returns ``(C, dC/dv, d2C/dv2)`` in F, F/V, F/V^2.
+    Returns ``(C, dC/dv, d2C/dv2)`` in F, F/V, F/V^2: floats for a float
+    voltage, arrays for an array of voltages.
     """
     eps_r, d1, d2 = permittivity_derivatives(design.bias_field(voltage), design.material)
     scale = epsilon_0 * design.plate_area / design.thickness
     d = design.thickness
-    return scale * eps_r, scale * d1 / d, scale * d2 / (d * d)
+    return _capacitance(eps_r, design), scale * d1 / d, scale * d2 / (d * d)
 
 
 def _quad(func, lo: float, hi: float, what: str) -> float:

@@ -8,6 +8,7 @@ from qpamp import (
     KTO,
     STO,
     CircuitParams,
+    ConfigurationError,
     DriveSpec,
     GridSpec,
     RateBudget,
@@ -47,6 +48,19 @@ class TestRateBudget:
         # The internal rate itself, quoted to one significant figure
         # elsewhere, rounds to 0.7 MHz.
         assert rates.kappa_int / TWO_PI == pytest.approx(0.7e6, abs=0.05e6)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in ("omega0", "kappa_int", "kappa_ext", "delta")
+            for value in (math.nan, math.inf, -math.inf)
+        ]
+        + [("omega0", 0.0), ("kappa_ext", 0.0), ("kappa_int", -1.0)],
+    )
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            RateBudget(**{**BUDGET.__dict__, name: value})
 
     def test_derived_fields(self):
         assert BUDGET.kappa == BUDGET.kappa_int + BUDGET.kappa_ext

@@ -234,6 +234,37 @@ class TestDesignCommand:
         assert float(values["v0_max_mv"]) == pytest.approx(4.0, abs=1e-3)
 
 
+# A 0-5 mV search window ends below the STO optimum near 9.3 mV.
+NARROW_WINDOW = [
+    "--override",
+    "sweep.variable=bias_voltage",
+    "--override",
+    "sweep.min=0",
+    "--override",
+    "sweep.max=5",
+    "--override",
+    "sweep.count=5",
+]
+
+
+class TestWindowEdgeWarning:
+    @pytest.mark.parametrize("command", ["design", "gain"])
+    def test_optimum_on_edge_warns(self, tmp_path, capsys, command):
+        assert main([command, "--material", "sto", "--out", str(tmp_path)] + NARROW_WINDOW) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("qpamp: warning:") and "edge of the search window" in err
+
+    @pytest.mark.parametrize("command", ["design", "gain"])
+    def test_default_window_is_quiet(self, tmp_path, capsys, command):
+        assert main([command, "--material", "sto", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_outputs_unchanged_by_the_warning(self, tmp_path, capsys):
+        assert main(["design", "--material", "sto", "--out", str(tmp_path)] + NARROW_WINDOW) == 0
+        assert len(read_kv(tmp_path / "design.kv")) == 17
+        assert "warning" not in (tmp_path / "design.txt").read_text()
+
+
 class TestGainCommand:
     def test_zero_ratio_without_internal_loss_is_flat(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

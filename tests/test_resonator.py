@@ -197,6 +197,12 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             CircuitParams(inductance=1e-9, q_ext=0.0)
 
+    @pytest.mark.parametrize("name", ["inductance", "q_ext"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_circuit_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            CircuitParams(**{**CIRCUIT.__dict__, name: value})
+
     def test_drive_validation(self):
         with pytest.raises(ConfigurationError):
             DriveSpec(v_ac=-1e-3)

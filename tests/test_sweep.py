@@ -63,6 +63,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec("plate_separation", 0.0, 1e-4, 5, spacing="log")
 
+    @pytest.mark.parametrize("name", ["start", "stop"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        spec = SweepSpec("bias_voltage", 0.0, 0.25, 3)
+        with pytest.raises(ConfigurationError, match=name):
+            SweepSpec(**{**spec.__dict__, name: value})
+
 
 class TestBiasSweep:
     def test_shape_and_landmarks(self):
@@ -157,6 +164,15 @@ class TestMaximize:
         grid = np.linspace(0.0, 0.25, 241)
         nearest = grid[np.argmin(np.abs(grid - best.v0_max))]
         assert best.v0_max != nearest
+
+    def test_window_edge_flag(self):
+        assert not maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE).on_window_edge
+        assert not maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE, v_range=(-0.25, 0.0)).on_window_edge
+        # STO peaks near 9.3 mV, outside both windows.
+        upper = maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE, v_range=(0.0, 5e-3))
+        assert upper.on_window_edge and upper.v0_max == pytest.approx(5e-3, abs=1e-6)
+        lower = maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE, v_range=(20e-3, 0.25))
+        assert lower.on_window_edge and lower.v0_max == pytest.approx(20e-3, abs=1e-6)
 
     def test_flat_objective(self):
         with pytest.raises(NumericalError):

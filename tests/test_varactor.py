@@ -224,5 +224,11 @@ class TestDesign:
         with pytest.raises(ConfigurationError):
             VaractorDesign(plate_area=16e-12, thickness=0.0, material=STO)
 
+    @pytest.mark.parametrize("name", ["plate_area", "thickness", "v_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            VaractorDesign(**{**STO_DESIGN.__dict__, name: value})
+
     def test_bias_field(self):
         assert STO_DESIGN.bias_field(0.2) == pytest.approx(1e6, rel=1e-15)
