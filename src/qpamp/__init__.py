@@ -31,7 +31,6 @@ from .material import (
     displacement,
     eta,
     greens,
-    loss_tangent,
     normalized_bias,
     permittivity,
     permittivity_derivatives,
@@ -87,7 +86,6 @@ __all__ = [
     "permittivity",
     "permittivity_derivatives",
     "dielectric_response",
-    "loss_tangent",
     "VaractorDesign",
     "ChargePoint",
     "capacitance",

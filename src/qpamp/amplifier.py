@@ -12,9 +12,8 @@ the reflection coefficient below threshold is
 (kappa/2)**2`` is the oscillation threshold and is reported as an error
 rather than an infinity.
 
-Internal loss comes from the dielectric loss tangent at the working point
-(``kappa_int = omega0 * tan_delta``); the external coupling is specified
-through a fixed external quality factor (``kappa_ext = omega0 / q_ext``).
+The linewidths come from the working-point record, `resonator.ModeCoefficients`:
+internal loss from the film's loss tangent, external coupling from q_ext.
 
 `compression_estimate` turns the Kerr-limited photon budget ``N = kappa /
 k_eff`` into a circulating-power scale, reported in two common conventions
@@ -30,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ThresholdError
-from .material import loss_tangent
-from .resonator import CircuitParams, DriveSpec, hbar, mode, three_wave_strength
+from .resonator import CircuitParams, DriveSpec, hbar, operating_point
 from .varactor import VaractorDesign
 
 __all__ = [
@@ -138,19 +136,17 @@ def rate_budget(
     v0: float, design: VaractorDesign, circuit: CircuitParams, delta: float = 0.0
 ) -> RateBudget:
     """Internal/external rates of the varactor resonator at bias v0."""
-    omega0 = mode(v0, design, circuit).omega0
-    tan_d = loss_tangent(design.bias_field(v0), design.material)
-    return RateBudget(
-        omega0=omega0,
-        kappa_int=omega0 * tan_d,
-        kappa_ext=omega0 / circuit.q_ext,
-        delta=delta,
-    )
+    point = operating_point(v0, DriveSpec(v_ac=0.0), design, circuit)
+    return RateBudget(point.omega0, point.kappa_int, point.kappa_ext, delta)
+
+
+def _above_threshold(xi_mag, half_kappa, delta=0.0):
+    return xi_mag * xi_mag >= delta**2 + half_kappa**2
 
 
 def _check_threshold(xi_mag: float, rates: RateBudget) -> None:
     half_kappa = rates.kappa / 2.0
-    if xi_mag * xi_mag >= rates.delta**2 + half_kappa**2:
+    if _above_threshold(xi_mag, half_kappa, rates.delta):
         raise ThresholdError(xi_mag / half_kappa)
 
 
@@ -240,9 +236,9 @@ def gain_profile(
     delta: float = 0.0,
 ) -> GainProfile:
     """Gain profile of the physical design at bias v0 under the given pump drive."""
-    rates = rate_budget(v0, design, circuit, delta=delta)
-    xi = three_wave_strength(v0, drive, design, circuit)
-    return profile_from_rates(rates, abs(xi), grid)
+    point = operating_point(v0, drive, design, circuit)
+    rates = RateBudget(point.omega0, point.kappa_int, point.kappa_ext, delta)
+    return profile_from_rates(rates, abs(point.xi), grid)
 
 
 def compression_estimate(

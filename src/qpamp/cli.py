@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .amplifier import GridSpec, compression_estimate, profile_from_rates, rate_budget
+from .amplifier import GridSpec, RateBudget, compression_estimate, profile_from_rates
 from .config import (
     ToolConfig,
     circuit_params,
@@ -40,7 +40,7 @@ from .config import (
     varactor_design,
 )
 from .errors import ConfigurationError, NumericalError
-from .resonator import operating_point, pump_photon_estimate
+from .resonator import operating_point
 from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
 
 __all__ = ["main"]
@@ -107,7 +107,7 @@ _REPORT_FIELDS = (
 
 
 def _working_point(sections: dict):
-    """(design, circuit, drive, optimum) of the configured bias search window."""
+    """(optimum, working-point record, rate budget) of the configured bias search window."""
     design = varactor_design(sections)
     circuit = circuit_params(sections)
     drive = drive_spec(sections)
@@ -120,32 +120,31 @@ def _working_point(sections: dict):
             "|xi| may peak outside it",
             file=sys.stderr,
         )
-    return design, circuit, drive, best
+    point = operating_point(best.v0_max, drive, design, circuit)
+    return best, point, RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
 
 
 def cmd_design(config: ToolConfig) -> None:
     """Working-point search and full design report."""
     sections = effective_sections(config, "design")
-    design, circuit, drive, best = _working_point(sections)
-    coeffs = operating_point(best.v0_max, drive, design, circuit)
-    rates = rate_budget(best.v0_max, design, circuit)
-    comp = compression_estimate(coeffs.k_eff, rates)
-    xi = abs(coeffs.xi)
+    best, point, rates = _working_point(sections)
+    comp = compression_estimate(point.k_eff, rates)
+    xi = abs(point.xi)
 
     values = {
         "v0_max_mv": best.v0_max * 1e3,
-        "f0_ghz": coeffs.omega0 / _TWO_PI / 1e9,
-        "c_pf": coeffs.q_zpf / coeffs.v_zpf * 1e12,
+        "f0_ghz": point.omega0 / _TWO_PI / 1e9,
+        "c_pf": point.c * 1e12,
         "xi_mhz": xi / _TWO_PI / 1e6,
-        "keff_hz": coeffs.k_eff / _TWO_PI,
-        "xi_over_keff": xi / coeffs.k_eff,
-        "kappa_int_mhz": rates.kappa_int / _TWO_PI / 1e6,
-        "kappa_ext_mhz": rates.kappa_ext / _TWO_PI / 1e6,
+        "keff_hz": point.k_eff / _TWO_PI,
+        "xi_over_keff": xi / point.k_eff,
+        "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
+        "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
         "kappa_mhz": rates.kappa / _TWO_PI / 1e6,
         "q_int": rates.q_int,
         "q_ext": rates.q_ext,
         "pump_ratio": xi / (rates.kappa / 2.0),
-        "pump_photons": pump_photon_estimate(best.v0_max, drive, design, circuit),
+        "pump_photons": point.pump_photons,
         "n_photons": comp.n_photons,
         "p_circ_dbm": comp.p_dbm_ordinary,
         "p_circ_dbm_angular": comp.p_dbm_angular,
@@ -170,8 +169,7 @@ def cmd_design(config: ToolConfig) -> None:
 def cmd_gain(config: ToolConfig) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     sections = effective_sections(config, "gain")
-    design, circuit, _, best = _working_point(sections)
-    rates = rate_budget(best.v0_max, design, circuit)
+    rates = _working_point(sections)[2]
     grid = GridSpec(
         count=sections["gain"]["count"],
         half_span_kappa=sections["gain"]["half_span_kappa"],

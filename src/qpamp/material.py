@@ -59,7 +59,6 @@ __all__ = [
     "permittivity",
     "permittivity_derivatives",
     "dielectric_response",
-    "loss_tangent",
 ]
 
 
@@ -146,7 +145,8 @@ class DielectricResponse:
     ``loss_tangent`` is the total tan(delta); the three ``tan_delta_*``
     fields give the breakdown by mechanism.  ``gamma`` is the loss kernel
     ``loss_tangent / greens`` (the sum of per-mechanism kernels), useful
-    when comparing crystals at different tuning points.
+    when comparing crystals at different tuning points.  ``deps_dE`` and
+    ``d2eps_dE2`` are those of `permittivity_derivatives`.
     """
 
     bias_field: float
@@ -155,6 +155,8 @@ class DielectricResponse:
     greens: float
     displacement: float
     eps_rel: float
+    deps_dE: float
+    d2eps_dE2: float
     loss_tangent: float
     tan_delta_1: float
     tan_delta_2: float
@@ -291,6 +293,10 @@ def permittivity_derivatives(bias_field, params: MaterialParams):
     ideal crystal (``lam_s = 0``), where s = 0 follows from the parameter.
     """
     lam, eta_val, y, g = _state(bias_field, params)
+    return _derivatives(bias_field, params, lam, eta_val, y, g)
+
+
+def _derivatives(bias_field, params: MaterialParams, lam, eta_val, y, g):
     g3 = g * g * g
     dg_per_lam = -(8.0 / 3.0) * g3 / (y * y + 3.0 * eta_val)
     d2g = (16.0 / 3.0) * g3 * g * g * y * y - (8.0 / 9.0) * g3 * g
@@ -304,7 +310,7 @@ def permittivity_derivatives(bias_field, params: MaterialParams):
 
 
 def dielectric_response(bias_field, params: MaterialParams) -> DielectricResponse:
-    """Evaluate permittivity and the full loss budget at one bias field.
+    """Evaluate permittivity, its field derivatives and the full loss budget at one bias field.
 
     An array of fields gives a response whose fields (all but ``eta``) are
     arrays.  The three loss channels are
@@ -326,6 +332,7 @@ def dielectric_response(bias_field, params: MaterialParams) -> DielectricRespons
             )
         defect = params.a3 * params.defect_density
     lam, eta_val, y, g = _state(bias_field, params)
+    eps_rel, deps_dE, d2eps_dE2 = _derivatives(bias_field, params, lam, eta_val, y, g)
     t_ratio = params.temperature / params.curie_temp
     tan1 = params.a1 * t_ratio * t_ratio * g**1.5
     tan2 = params.a2 * y * y * g
@@ -337,7 +344,9 @@ def dielectric_response(bias_field, params: MaterialParams) -> DielectricRespons
         eta=eta_val,
         greens=g,
         displacement=y,
-        eps_rel=params.eps00_rel * g,
+        eps_rel=eps_rel,
+        deps_dE=deps_dE,
+        d2eps_dE2=d2eps_dE2,
         loss_tangent=total,
         tan_delta_1=tan1,
         tan_delta_2=tan2,
@@ -345,7 +354,3 @@ def dielectric_response(bias_field, params: MaterialParams) -> DielectricRespons
         gamma=total / g,
     )
 
-
-def loss_tangent(bias_field: float, params: MaterialParams) -> float:
-    """Total loss tangent at one bias field (sum of the three channels)."""
-    return dielectric_response(bias_field, params).loss_tangent

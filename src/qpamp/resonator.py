@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
-from .varactor import VaractorDesign, capacitance, capacitance_derivatives
+from .material import dielectric_response
+from .varactor import VaractorDesign, _voltage_derivatives, capacitance_derivatives
 
 __all__ = [
     "CircuitParams",
@@ -83,11 +84,12 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Quantised-mode constants at one working point.
+    """The working-point record, from one chain evaluation at a float or an array of biases.
 
-    ``xi`` is the complex three-wave strength [rad/s]; ``k_eff`` the
-    effective Kerr shift per photon [rad/s].  Both are zero in the output of
-    `mode`, which only evaluates the linear part.
+    ``c`` is C(v0) [F]; ``eps_rel`` and ``loss_tangent`` describe the film.  The linewidths
+    ``kappa_int`` and ``kappa_ext``, the complex three-wave strength ``xi`` and the Kerr
+    shift per photon ``k_eff`` are in rad/s; ``pump_photons`` is (q_ac / 2 q_zpf)**2.
+    The last three are zero in the output of `mode`, which evaluates the linear part only.
     """
 
     omega0: float
@@ -95,41 +97,25 @@ class ModeCoefficients:
     q_zpf: float
     phi_zpf: float
     v_zpf: float
+    c: float
+    eps_rel: float
+    loss_tangent: float
+    kappa_int: float
+    kappa_ext: float
     xi: complex
     k_eff: float
-
-
-def _mode(c, circuit: CircuitParams, xi=0.0j, k_eff=0.0) -> ModeCoefficients:
-    z0 = (circuit.inductance / c) ** 0.5
-    q_zpf = (hbar / (2.0 * z0)) ** 0.5
-    return ModeCoefficients(
-        omega0=1.0 / (circuit.inductance * c) ** 0.5,
-        z0=z0,
-        q_zpf=q_zpf,
-        phi_zpf=(hbar * z0 / 2.0) ** 0.5,
-        v_zpf=q_zpf / c,
-        xi=xi,
-        k_eff=k_eff,
-    )
-
-
-def _v_zpf2(c, circuit: CircuitParams):
-    # v_zpf**2 = q_zpf**2 / C**2 with q_zpf**2 = hbar / (2 z0).
-    return hbar / (2.0 * (circuit.inductance / c) ** 0.5) / (c * c)
+    pump_photons: float
 
 
 def _xi(c, c1, drive: DriveSpec, circuit: CircuitParams):
-    magnitude = c1 * drive.v_ac * _v_zpf2(c, circuit) / (2.0 * hbar)
-    return magnitude * cmath.exp(-1j * drive.theta)
-
-
-def _k_eff(c, c1, c2, circuit: CircuitParams):
-    return (-c2 + 3.0 * c1 * c1 / c) * _v_zpf2(c, circuit) ** 2 / (2.0 * hbar)
+    # v_zpf**2 = q_zpf**2 / C**2 with q_zpf**2 = hbar / (2 z0).
+    v_zpf2 = hbar / (2.0 * (circuit.inductance / c) ** 0.5) / (c * c)
+    return c1 * drive.v_ac * v_zpf2 / (2.0 * hbar) * cmath.exp(-1j * drive.theta)
 
 
 def mode(v0, design: VaractorDesign, circuit: CircuitParams) -> ModeCoefficients:
-    """Linear mode constants (frequency, impedance, zero-point scales) at bias v0."""
-    return _mode(capacitance(v0, design), circuit)
+    """Linear mode constants and linewidths at bias v0: the record without couplings."""
+    return replace(operating_point(v0, DriveSpec(v_ac=0.0), design, circuit), k_eff=0.0)
 
 
 def three_wave_strength(v0, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams):
@@ -147,15 +133,34 @@ def kerr_strength(v0, design: VaractorDesign, circuit: CircuitParams):
 
     Even in v0 and maximal at zero bias for these materials.
     """
-    return _k_eff(*capacitance_derivatives(v0, design), circuit)
+    return operating_point(v0, DriveSpec(v_ac=0.0), design, circuit).k_eff
 
 
 def operating_point(
     v0, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams
 ) -> ModeCoefficients:
-    """Mode constants with the parametric couplings filled in, from one chain evaluation."""
-    c, c1, c2 = capacitance_derivatives(v0, design)
-    return _mode(c, circuit, _xi(c, c1, drive, circuit), _k_eff(c, c1, c2, circuit))
+    """The working-point record at bias v0 under the drive, from one chain evaluation."""
+    resp = dielectric_response(design.bias_field(v0), design.material)
+    c, c1, c2 = _voltage_derivatives(resp.eps_rel, resp.deps_dE, resp.d2eps_dE2, design)
+    omega0 = 1.0 / (circuit.inductance * c) ** 0.5
+    z0 = (circuit.inductance / c) ** 0.5
+    q_zpf = (hbar / (2.0 * z0)) ** 0.5
+    v_zpf = q_zpf / c
+    return ModeCoefficients(
+        omega0=omega0,
+        z0=z0,
+        q_zpf=q_zpf,
+        phi_zpf=(hbar * z0 / 2.0) ** 0.5,
+        v_zpf=v_zpf,
+        c=c,
+        eps_rel=resp.eps_rel,
+        loss_tangent=resp.loss_tangent,
+        kappa_int=omega0 * resp.loss_tangent,
+        kappa_ext=omega0 / circuit.q_ext,
+        xi=_xi(c, c1, drive, circuit),
+        k_eff=(-c2 + 3.0 * c1 * c1 / c) * v_zpf**4 / (2.0 * hbar),
+        pump_photons=(drive.charge_amplitude(c) / (2.0 * q_zpf)) ** 2,
+    )
 
 
 def pump_photon_estimate(
@@ -168,7 +173,4 @@ def pump_photon_estimate(
     a sanity check that the pump stays far above the quantum scale but far
     below any depletion regime.
     """
-    c = capacitance(v0, design)
-    q_zpf = _mode(c, circuit).q_zpf
-    ratio = drive.charge_amplitude(c) / (2.0 * q_zpf)
-    return ratio * ratio
+    return operating_point(v0, drive, design, circuit).pump_photons

@@ -3,10 +3,9 @@
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
 floats plus a metadata snapshot, ready for CSV serialisation.  Bias and
 bias-field tables are computed by column, from one array evaluation of the
-material -> varactor -> resonator chain; plate-separation rows (each a
-different design) are computed in order.  The ``workers`` argument and the
-``QPAMP_WORKERS`` environment variable are still accepted and validated, but
-start no threads.
+chain (for bias, the working-point record of `resonator.operating_point`);
+plate-separation rows (each a different design) are computed in order.
+Sweeps run on the calling thread; ``workers`` is None or a positive integer.
 
 Column values are in display units (mV, pF, GHz, MHz, Hz, dB) as indicated
 by the column names; everything inside the physics modules stays SI.
@@ -15,15 +14,14 @@ by the column names; everything inside the physics modules stays SI.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ._version import __version__
-from .amplifier import RateBudget, reflection
-from .errors import ConfigurationError, NumericalError, ThresholdError
+from .amplifier import _above_threshold
+from .errors import ConfigurationError, NumericalError
 from .material import MaterialParams, dielectric_response
 from .resonator import (
     CircuitParams,
@@ -122,32 +120,13 @@ class Optimum:
 
 
 def default_workers() -> int:
-    """The validated ``QPAMP_WORKERS`` setting, 1 when it is unset."""
-    raw = os.environ.get("QPAMP_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"QPAMP_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigurationError("QPAMP_WORKERS must be >= 1")
-    return workers
+    """The number of threads a sweep runs on: 1, the calling thread."""
+    return 1
 
 
-def _check_workers(workers: int | None) -> None:
-    # Sweeps are serial whatever ``workers`` says; an unset one still
-    # validates the environment so that a bad QPAMP_WORKERS fails loudly.
-    if workers is None:
-        default_workers()
-
-
-def _peak_gain_db(omega0: float, kappa_int: float, kappa_ext: float, xi: float) -> float:
-    rates = RateBudget(omega0=omega0, kappa_int=kappa_int, kappa_ext=kappa_ext)
-    try:
-        return 20.0 * math.log10(abs(reflection(rates.omega_p / 2.0, xi, rates)))
-    except ThresholdError:
-        return math.nan
+def _check_workers(workers) -> None:
+    if workers is not None and not (isinstance(workers, int) and workers >= 1):
+        raise ConfigurationError(f"workers must be None or a positive integer, got {workers!r}")
 
 
 def _metadata(spec: SweepSpec, **extra: object) -> dict[str, str]:
@@ -175,29 +154,36 @@ def bias_sweep(
     The swept variable must be ``bias_voltage`` (values in volts).  The
     ``peak_gain_db`` column is the reflection gain at the pumped center
     frequency for the given drive; rows where that drive sits at or beyond
-    the oscillation threshold get NaN there.
+    the oscillation threshold get NaN there.  A non-finite cell in any other
+    column raises `NumericalError`.
     """
     if spec.variable != "bias_voltage":
         raise ConfigurationError(f"bias_sweep needs variable 'bias_voltage', got {spec.variable!r}")
     _check_workers(workers)
     v0 = np.array(spec.points())
-    resp = dielectric_response(design.bias_field(v0), design.material)
-    coeffs = operating_point(v0, drive, design, circuit)
-    xi = np.abs(coeffs.xi)
-    kappa_int = coeffs.omega0 * resp.loss_tangent
-    kappa_ext = coeffs.omega0 / circuit.q_ext
+    point = operating_point(v0, drive, design, circuit)
+    xi = np.abs(point.xi)
     columns = {
         "v0_mv": v0 * 1e3,
-        "eps_r": resp.eps_rel,
-        "tan_delta": resp.loss_tangent,
-        "c_pf": coeffs.q_zpf / coeffs.v_zpf * 1e12,
-        "f0_ghz": coeffs.omega0 / _TWO_PI / 1e9,
+        "eps_r": point.eps_rel,
+        "tan_delta": point.loss_tangent,
+        "c_pf": point.c * 1e12,
+        "f0_ghz": point.omega0 / _TWO_PI / 1e9,
         "xi_mhz": xi / _TWO_PI / 1e6,
-        "keff_hz": coeffs.k_eff / _TWO_PI,
-        "kappa_int_mhz": kappa_int / _TWO_PI / 1e6,
-        "kappa_ext_mhz": kappa_ext / _TWO_PI / 1e6,
+        "keff_hz": point.k_eff / _TWO_PI,
+        "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
+        "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
     }
-    peak_db = map(_peak_gain_db, *(a.tolist() for a in (coeffs.omega0, kappa_int, kappa_ext, xi)))
+    bad = [name for name, values in columns.items() if not np.isfinite(values).all()]
+    if bad:
+        raise NumericalError(f"bias sweep column {bad[0]!r} is not finite")
+    # R at the pumped centre (delta = 0); NaN at or beyond threshold, where the divisor is <= 0.
+    half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
+    with np.errstate(divide="ignore"):
+        centre = point.kappa_ext * half_kappa / (half_kappa * half_kappa - xi * xi)
+    centre[_above_threshold(xi, half_kappa)] = np.nan
+    # NaN cells are math.nan itself, so that equal tables have equal rows.
+    peak_db = [g if g == g else math.nan for g in (20.0 * np.log10(np.abs(centre - 1.0))).tolist()]
     return SweepResult(
         variable=spec.variable,
         columns=(*columns, "peak_gain_db"),
@@ -272,7 +258,7 @@ def maximize_3wm(
 
     The grid has 241 points; the golden-section stage narrows the best
     bracket down to 1 microvolt.  A flat objective (e.g. zero pump
-    amplitude) raises `NumericalError`.
+    amplitude) or a non-finite |xi| on the grid raises `NumericalError`.
     """
     lo, hi = v_range
     if not lo < hi:
@@ -284,7 +270,10 @@ def maximize_3wm(
     # Python floats keep each call in float arithmetic, not numpy scalars.
     grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
     values = [objective(v) for v in grid]
+    # argmax picks the first NaN, and |xi| >= 0: a finite maximum means a finite grid.
     i_best = int(np.argmax(values))
+    if not math.isfinite(values[i_best]):
+        raise NumericalError(f"three-wave strength is not finite on the search grid {v_range}")
     if values[i_best] == 0.0:
         raise NumericalError("three-wave strength is flat over the search range")
     a = grid[max(i_best - 1, 0)]

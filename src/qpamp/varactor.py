@@ -111,6 +111,10 @@ def capacitance_derivatives(voltage, design: VaractorDesign):
     voltage, arrays for an array of voltages.
     """
     eps_r, d1, d2 = permittivity_derivatives(design.bias_field(voltage), design.material)
+    return _voltage_derivatives(eps_r, d1, d2, design)
+
+
+def _voltage_derivatives(eps_r, d1, d2, design: VaractorDesign):
     scale = epsilon_0 * design.plate_area / design.thickness
     d = design.thickness
     return _capacitance(eps_r, design), scale * d1 / d, scale * d2 / (d * d)

@@ -4,10 +4,14 @@ Nothing here shares algorithms with the package: the cubic is solved by
 plain bisection instead of Cardano's formula, the 3-dB point by a scan plus
 bisection instead of polynomial roots, integrals use fixed-panel
 midpoint Riemann sums instead of adaptive quadrature, and derivatives use
-high-order finite-difference stencils instead of the chain rule.
+high-order finite-difference stencils instead of the chain rule.  The one
+exception is `peak_gain_db_per_row`, which keeps the scalar per-row path
+that the bias sweep's ``peak_gain_db`` column replaced.
 """
 
 import math
+
+from qpamp import RateBudget, ThresholdError, reflection
 
 
 def cubic_root_bisect(lam: float, eta: float) -> float:
@@ -102,3 +106,16 @@ def finite_difference_capacitance_derivatives(capacitance, voltage: float, rel_s
     first = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
     second = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
     return first, second
+
+
+def peak_gain_db_per_row(omega0: float, kappa_int: float, kappa_ext: float, xi: float) -> float:
+    """Reflection gain [dB] at the pumped centre of one bias-table row, NaN at threshold.
+
+    A scalar `RateBudget` plus `reflection` at omega_p / 2, with the
+    threshold decided by the `ThresholdError` that `reflection` raises.
+    """
+    rates = RateBudget(omega0=omega0, kappa_int=kappa_int, kappa_ext=kappa_ext)
+    try:
+        return 20.0 * math.log10(abs(reflection(rates.omega_p / 2.0, xi, rates)))
+    except ThresholdError:
+        return math.nan

@@ -1,8 +1,11 @@
 """One evaluation chain for floats and arrays: material -> varactor -> resonator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qpamp.cli
 import qpamp.material
 from qpamp import (
     KTO,
@@ -23,6 +26,7 @@ from qpamp import (
     operating_point,
     permittivity,
     permittivity_derivatives,
+    rate_budget,
     three_wave_strength,
 )
 from qpamp.cli import main
@@ -165,11 +169,70 @@ def test_operating_point_evaluates_chain_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rate_budget_evaluates_chain_once(monkeypatch):
+    calls = count_chain(monkeypatch)
+    rate_budget(9.3e-3, design(STO), CIRCUIT)
+    assert len(calls) == 1
+
+
 def test_bias_sweep_evaluates_chain_per_table(monkeypatch):
     calls = count_chain(monkeypatch)
     result = bias_sweep(SweepSpec("bias_voltage", 0.0, 0.25, 201), design(STO), CIRCUIT, DRIVE)
     assert len(result.rows) == 201
-    assert len(calls) <= 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["design", "gain"])
+def test_command_evaluates_chain_once_after_search(monkeypatch, tmp_path, command):
+    calls = count_chain(monkeypatch)
+    searches = []
+    search = qpamp.cli.maximize_3wm
+
+    def counted_search(*args, **kwargs):
+        start = len(calls)
+        best = search(*args, **kwargs)
+        searches.append(len(calls) - start)
+        return best
+
+    monkeypatch.setattr(qpamp.cli, "maximize_3wm", counted_search)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert len(searches) == 1 and searches[0] > 0
+    assert len(calls) == searches[0] + 1
+
+
+@MATERIALS
+def test_working_point_record_arrays(material):
+    names = ("c", "eps_rel", "loss_tangent", "kappa_int", "kappa_ext", "xi", "pump_photons")
+    assert_elementwise(
+        lambda v: [getattr(operating_point(v, DRIVE, design(material), CIRCUIT), n) for n in names],
+        VOLTAGES,
+        names,
+    )
+
+
+@MATERIALS
+def test_working_point_record_matches_the_layers(material):
+    d = design(material)
+    for v in (0.0, 9.3e-3, -0.05):
+        point = operating_point(v, DRIVE, d, CIRCUIT)
+        linear = mode(v, d, CIRCUIT)
+        e = v / THICKNESS
+        assert point.eps_rel == permittivity(e, material)
+        assert point.loss_tangent == dielectric_response(e, material).loss_tangent
+        assert point.c == capacitance(v, d)
+        assert point.kappa_int == point.omega0 * point.loss_tangent
+        assert point.kappa_ext == point.omega0 / CIRCUIT.q_ext
+        assert point.xi == three_wave_strength(v, DRIVE, d, CIRCUIT)
+        assert point.k_eff == kerr_strength(v, d, CIRCUIT)
+        assert (linear.xi, linear.k_eff, linear.pump_photons) == (0.0j, 0.0, 0.0)
+        couplings = {name: getattr(point, name) for name in ("xi", "k_eff", "pump_photons")}
+        assert replace(linear, **couplings) == point
+        rates = rate_budget(v, d, CIRCUIT)
+        assert (rates.omega0, rates.kappa_int, rates.kappa_ext) == (
+            point.omega0,
+            point.kappa_int,
+            point.kappa_ext,
+        )
 
 
 def test_negative_eta_rejected():

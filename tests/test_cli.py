@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpamp
@@ -178,11 +179,6 @@ class TestConfigDiagnostics:
         assert main(["gain", "--out", str(tmp_path), "--override", "gain.count=800"]) == 2
         assert "[gain] count" in capsys.readouterr().err
         assert not (tmp_path / "gain.csv").exists()
-
-    def test_invalid_workers_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QPAMP_WORKERS", "many")
-        assert main(["material", "--out", str(tmp_path)]) == 2
-        assert "QPAMP_WORKERS" in capsys.readouterr().err
 
 
 class TestDesignCommand:
@@ -413,6 +409,19 @@ class TestSweepCommand:
         d = column(columns, rows, "d_nm")
         assert d[0] == pytest.approx(100.0, rel=1e-9)
         assert d[-1] == pytest.approx(100000.0, rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["sweep", "design", "gain"])
+    def test_non_finite_results_exit_3(self, tmp_path, capsys, command):
+        # Biases up to 1e300 mV overflow the normalised field: the chain
+        # gives NaN there, and numpy reports the overflow on the array path.
+        overrides = ("variable=bias_voltage", "min=0", "max=1e300", "count=5")
+        argv = [command, "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", f"sweep.{item}"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_pump_ratio_not_sweepable_here(self, tmp_path, capsys):
         rc = main(

@@ -14,7 +14,6 @@ from qpamp import (
     displacement,
     eta,
     greens,
-    loss_tangent,
     normalized_bias,
     permittivity,
     permittivity_derivatives,
@@ -236,7 +235,7 @@ class TestLoss:
             assert resp.lam >= KTO.inhomogeneity
 
     def test_ideal_cold_crystal_is_lossless_at_zero_bias(self):
-        assert loss_tangent(0.0, lossless(a1=2e-4, a2=1e-3)) == 0.0
+        assert dielectric_response(0.0, lossless(a1=2e-4, a2=1e-3)).loss_tangent == 0.0
 
     def test_defect_channel(self):
         doped = lossless(a2=1e-3, a3=2e-4, defect_density=0.5, inhomogeneity=0.01)
@@ -246,11 +245,11 @@ class TestLoss:
     def test_defect_density_without_a3(self):
         bad = lossless(defect_density=0.5)
         with pytest.raises(ConfigurationError):
-            loss_tangent(0.0, bad)
+            dielectric_response(0.0, bad)
 
     def test_loss_increases_with_bias(self):
         fields = np.linspace(0.0, 5e6, 80)
-        vals = [loss_tangent(f, STO) for f in fields]
+        vals = [dielectric_response(f, STO).loss_tangent for f in fields]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

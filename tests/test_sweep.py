@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qpamp.sweep
-
+from oracles import peak_gain_db_per_row
 from qpamp import (
     KTO,
     STO,
@@ -22,6 +22,7 @@ from qpamp import (
     geometry_sweep,
     kerr_strength,
     maximize_3wm,
+    operating_point,
     three_wave_strength,
 )
 
@@ -105,6 +106,32 @@ class TestBiasSweep:
         assert any(math.isnan(g) for g in gain)
         assert any(math.isfinite(g) for g in gain[1:])
 
+    @pytest.mark.parametrize("window", [(0.0, 0.25, 201), (-0.3, 0.9, 1001)], ids=["0-250", "wide"])
+    @pytest.mark.parametrize("v_ac", [0.25e-3, 1e-3, 5e-3])
+    @pytest.mark.parametrize("design", [STO_DESIGN, KTO_DESIGN], ids=["sto", "kto"])
+    def test_peak_gain_column_matches_per_row_reflection(self, design, v_ac, window):
+        drive = DriveSpec(v_ac=v_ac)
+        spec = SweepSpec("bias_voltage", *window)
+        gain = bias_sweep(spec, design, CIRCUIT, drive).column("peak_gain_db")
+        point = operating_point(np.array(spec.points()), drive, design, CIRCUIT)
+        rows = zip(
+            point.omega0.tolist(),
+            point.kappa_int.tolist(),
+            point.kappa_ext.tolist(),
+            np.abs(point.xi).tolist(),
+        )
+        want = [peak_gain_db_per_row(*row) for row in rows]
+        assert [math.isnan(g) for g in gain] == [math.isnan(w) for w in want]
+        assert max(abs(g - w) for g, w in zip(gain, want) if not math.isnan(w)) <= 1e-12
+
+    def test_non_finite_cell_raises(self):
+        # 1e300 V overflows the normalised field, which numpy reports while
+        # the chain turns it into NaN.
+        spec = SweepSpec("bias_voltage", 0.0, 1e300, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                bias_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE)
+
     def test_single_point_degenerate(self):
         spec = SweepSpec("bias_voltage", 0.0, 0.0, 1)
         result = bias_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE, workers=1)
@@ -177,6 +204,11 @@ class TestMaximize:
     def test_flat_objective(self):
         with pytest.raises(NumericalError):
             maximize_3wm(STO_DESIGN, CIRCUIT, DriveSpec(v_ac=0.0))
+
+    def test_non_finite_objective(self):
+        # Near 1e308 V the normalised field overflows and |xi| is NaN.
+        with pytest.raises(NumericalError, match="not finite"):
+            maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE, v_range=(0.0, 1e308))
 
     def test_empty_range(self):
         with pytest.raises(ConfigurationError):
@@ -320,17 +352,21 @@ class TestDielectricSweep:
 
 
 class TestWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("QPAMP_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("QPAMP_WORKERS", "many")
-        with pytest.raises(ConfigurationError):
-            default_workers()
-        monkeypatch.setenv("QPAMP_WORKERS", "0")
-        with pytest.raises(ConfigurationError):
-            default_workers()
+    @pytest.mark.parametrize("workers", [-3, 0, "x"])
+    def test_invalid_workers_rejected(self, workers):
+        sweeps = (
+            lambda: bias_sweep(
+                SweepSpec("bias_voltage", 0.0, 0.25, 3), STO_DESIGN, CIRCUIT, DRIVE, workers=workers
+            ),
+            lambda: dielectric_sweep(STO, SweepSpec("bias_field", 0.0, 1e6, 3), workers=workers),
+            lambda: geometry_sweep(
+                SweepSpec("plate_separation", 1e-7, 1e-6, 2), STO_DESIGN, CIRCUIT, DRIVE,
+                workers=workers,
+            ),
+        )
+        for sweep in sweeps:
+            with pytest.raises(ConfigurationError, match="workers"):
+                sweep()
 
     def test_env_unset(self, monkeypatch):
         monkeypatch.delenv("QPAMP_WORKERS", raising=False)
