@@ -8,7 +8,7 @@ varactor (`varactor`) -> quantised LC mode and parametric couplings
 """
 
 from ._version import __version__
-from .config import ToolConfig, load_config
+from .config import load_config
 from .amplifier import (
     CompressionEstimate,
     GainProfile,
@@ -72,7 +72,6 @@ __all__ = [
     "ConfigurationError",
     "NumericalError",
     "ThresholdError",
-    "ToolConfig",
     "load_config",
     "MaterialParams",
     "DielectricResponse",

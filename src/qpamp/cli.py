@@ -26,10 +26,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .amplifier import GridSpec, RateBudget, compression_estimate, profile_from_rates
 from .config import (
-    ToolConfig,
     circuit_params,
     drive_spec,
     echo_lines,
@@ -59,8 +60,8 @@ def _header(command: str, sections: dict) -> list[str]:
     return lines
 
 
-def _out_dir(config: ToolConfig) -> Path:
-    path = Path(config.output_path)
+def _out_dir(config: dict) -> Path:
+    path = Path(config["output"]["path"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -71,6 +72,12 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _write_csv(path: Path, command: str, sections: dict, columns, rows) -> None:
+    # NaN is documented only in peak_gain_db (at or beyond threshold).
+    checked = [i for i, name in enumerate(columns) if name != "peak_gain_db"]
+    for row in rows:
+        for i in checked:
+            if not math.isfinite(row[i]):
+                raise NumericalError(f"{command} table column {columns[i]!r} is not finite")
     lines = _header(command, sections)
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(value) for value in row) for row in rows)
@@ -78,7 +85,7 @@ def _write_csv(path: Path, command: str, sections: dict, columns, rows) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def cmd_material(config: ToolConfig) -> None:
+def cmd_material(config: dict) -> None:
     """Dielectric response table over the configured bias-field range."""
     sections = effective_sections(config, "material")
     result = dielectric_sweep(material_params(sections), sweep_spec(sections))
@@ -124,7 +131,7 @@ def _working_point(sections: dict):
     return best, point, RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
 
 
-def cmd_design(config: ToolConfig) -> None:
+def cmd_design(config: dict) -> None:
     """Working-point search and full design report."""
     sections = effective_sections(config, "design")
     best, point, rates = _working_point(sections)
@@ -166,7 +173,7 @@ def cmd_design(config: ToolConfig) -> None:
     print(f"wrote {out / 'design.kv'}")
 
 
-def cmd_gain(config: ToolConfig) -> None:
+def cmd_gain(config: dict) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     sections = effective_sections(config, "gain")
     rates = _working_point(sections)[2]
@@ -192,7 +199,7 @@ def cmd_gain(config: ToolConfig) -> None:
     )
 
 
-def cmd_sweep(config: ToolConfig) -> None:
+def cmd_sweep(config: dict) -> None:
     """Bias-voltage or plate-separation sweep table."""
     sections = effective_sections(config, "sweep")
     spec = sweep_spec(sections)
@@ -251,9 +258,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.override, args.material, args.out)
-        _COMMANDS[args.command](config)
+        # Overflow and 0/0 surface as non-finite cells or ArithmeticError, not warnings.
+        with np.errstate(all="ignore"):
+            _COMMANDS[args.command](config)
     except NumericalError as exc:
         print(f"qpamp: error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"qpamp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ConfigurationError, ValueError) as exc:
         print(f"qpamp: config error: {exc}", file=sys.stderr)

@@ -6,16 +6,20 @@ whose ``min``/``max`` are interpreted in the natural display unit of the
 swept variable: mV for ``bias_voltage``, V/um for ``bias_field``, nm for
 ``plate_separation``, and dimensionless for ``pump_ratio``.
 
-Every command resolves the configuration fully (defaults applied, material
-parameters expanded) and echoes the result into its output header, so any
-output file doubles as a reproducible configuration.
+Each key's parser, default, SI scale and chain-object field are written
+once, in `_KEYS`; the echo order, the unknown-key check and the builders of
+the chain objects all read that table.  Every command resolves the
+configuration fully (defaults applied, material parameters expanded) and
+echoes the result into its output header, so any output file doubles as a
+reproducible configuration.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, fields
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
 from .material import MaterialParams, builtin_material
@@ -24,7 +28,6 @@ from .sweep import SweepSpec
 from .varactor import VaractorDesign
 
 __all__ = [
-    "ToolConfig",
     "load_config",
     "effective_sections",
     "echo_lines",
@@ -35,84 +38,6 @@ __all__ = [
     "drive_spec",
     "sweep_spec",
 ]
-
-_MATERIAL_NUMERIC = (
-    "eps00_rel",
-    "curie_temp_k",
-    "debye_temp_k",
-    "renorm_field_v_per_um",
-    "inhomogeneity",
-    "loss_a1",
-    "loss_a2",
-    "loss_a3",
-    "defect_density",
-    "temperature_k",
-)
-
-_SCHEMA = {
-    "material": ("name",) + _MATERIAL_NUMERIC,
-    "geometry": ("area_um2", "thickness_nm"),
-    "circuit": ("inductance_nh", "q_ext"),
-    "drive": ("v_ac_mv", "theta_rad"),
-    "sweep": ("variable", "min", "max", "count", "spacing"),
-    "gain": ("xi_ratio", "count", "half_span_kappa"),
-    "output": ("path", "format"),
-}
-
-# Display-unit-to-SI scale for the sweep bounds, keyed by swept variable.
-_SWEEP_SCALE = {
-    "bias_voltage": 1e-3,
-    "bias_field": 1e6,
-    "plate_separation": 1e-9,
-    "pump_ratio": 1.0,
-}
-
-_DEFAULT_BIAS_SWEEP = {
-    "variable": "bias_voltage",
-    "min": 0.0,
-    "max": 250.0,
-    "count": 201,
-    "spacing": "linear",
-}
-_DEFAULT_FIELD_SWEEP = {
-    "variable": "bias_field",
-    "min": 0.0,
-    "max": 5.0,
-    "count": 201,
-    "spacing": "linear",
-}
-_DEFAULT_GAIN_RATIOS = (0.5, 0.9, 0.99)
-
-# Config-key view of the built-in material tables.
-_BUILTIN_KEYS = {
-    name: {
-        "eps00_rel": mat.eps00_rel,
-        "curie_temp_k": mat.curie_temp,
-        "debye_temp_k": mat.debye_temp,
-        "renorm_field_v_per_um": mat.renorm_field / 1e6,
-        "inhomogeneity": mat.inhomogeneity,
-        "loss_a1": mat.a1,
-        "loss_a2": mat.a2,
-        "defect_density": mat.defect_density,
-        "temperature_k": mat.temperature,
-    }
-    for name, mat in (("sto", builtin_material("sto")), ("kto", builtin_material("kto")))
-}
-
-
-@dataclass(frozen=True)
-class ToolConfig:
-    """Resolved configuration: section -> key -> typed value (display units).
-
-    The ``sweep`` section is ``None`` when the user did not provide one;
-    each command substitutes its own default (see `effective_sections`).
-    """
-
-    sections: dict
-
-    @property
-    def output_path(self) -> str:
-        return self.sections["output"]["path"]
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -142,10 +67,110 @@ def _parse_ratio_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     return values
 
 
-def _require_positive(section: str, key: str, value: float) -> float:
-    if not value > 0.0:
-        raise ConfigurationError(f"[{section}] {key}: must be positive, got {value}")
-    return value
+def _parse_text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _choice(*words: str) -> Callable[[str, str, str], str]:
+    def parse(section: str, key: str, raw: str) -> str:
+        word = raw.lower()
+        if word not in words:
+            raise ConfigurationError(
+                f"[{section}] {key}: must be one of {', '.join(words)}, got {word!r}"
+            )
+        return word
+
+    return parse
+
+
+class _Key(NamedTuple):
+    """One config key: parser, default (display units), chain-object field, SI scale.
+
+    A ``MISSING`` default makes the key required and a None default leaves it
+    unset.  ``[material]`` numbers default to the named crystal, or for
+    ``custom`` to the `MaterialParams` field defaults (required where the
+    field has none).  ``positive`` refuses a given value <= 0.
+    """
+
+    parse: Callable[[str, str, str], object]
+    default: object = None
+    field: str | None = None
+    scale: float = 1.0
+    positive: bool = False
+
+
+# Display-unit-to-SI scale for the sweep bounds, keyed by swept variable.
+_SWEEP_SCALE = {
+    "bias_voltage": 1e-3,
+    "bias_field": 1e6,
+    "plate_separation": 1e-9,
+    "pump_ratio": 1.0,
+}
+
+# Section -> key -> meaning, in echo order.  The ``[sweep]`` section is
+# optional as a whole: absent, it resolves to None.
+_KEYS = {
+    "material": {
+        "name": _Key(_choice("sto", "kto", "custom"), "sto"),
+        "eps00_rel": _Key(_parse_float, field="eps00_rel"),
+        "curie_temp_k": _Key(_parse_float, field="curie_temp"),
+        "debye_temp_k": _Key(_parse_float, field="debye_temp"),
+        "renorm_field_v_per_um": _Key(_parse_float, field="renorm_field", scale=1e6),
+        "inhomogeneity": _Key(_parse_float, field="inhomogeneity"),
+        "loss_a1": _Key(_parse_float, field="a1"),
+        "loss_a2": _Key(_parse_float, field="a2"),
+        "loss_a3": _Key(_parse_float, field="a3"),
+        "defect_density": _Key(_parse_float, field="defect_density"),
+        "temperature_k": _Key(_parse_float, field="temperature"),
+    },
+    "geometry": {
+        "area_um2": _Key(_parse_float, 16.0, "plate_area", 1e-12, positive=True),
+        "thickness_nm": _Key(_parse_float, 200.0, "thickness", 1e-9, positive=True),
+    },
+    "circuit": {
+        "inductance_nh": _Key(_parse_float, 0.5, "inductance", 1e-9, positive=True),
+        "q_ext": _Key(_parse_float, 100.0, "q_ext", positive=True),
+    },
+    "drive": {
+        "v_ac_mv": _Key(_parse_float, 1.0, "v_ac", 1e-3),
+        "theta_rad": _Key(_parse_float, 0.0, "theta"),
+    },
+    "sweep": {
+        "variable": _Key(_choice(*_SWEEP_SCALE), MISSING),
+        "min": _Key(_parse_float, MISSING),
+        "max": _Key(_parse_float, MISSING),
+        "count": _Key(_parse_int, MISSING),
+        "spacing": _Key(_choice("linear", "log"), "linear"),
+    },
+    "gain": {
+        "xi_ratio": _Key(_parse_ratio_list),
+        "count": _Key(_parse_int, 801),
+        "half_span_kappa": _Key(_parse_float, 4.0),
+    },
+    "output": {
+        "path": _Key(_parse_text, "out"),
+        "format": _Key(_choice("csv"), "csv"),
+    },
+}
+
+# The [sweep] sections the commands fall back to, as config entries.
+_DEFAULT_BIAS_SWEEP = {"variable": "bias_voltage", "min": "0", "max": "250", "count": "201"}
+_DEFAULT_FIELD_SWEEP = {"variable": "bias_field", "min": "0", "max": "5", "count": "201"}
+_DEFAULT_GAIN_RATIOS = (0.5, 0.9, 0.99)
+
+
+def _material_defaults(name: str) -> dict:
+    """Config-key view of a built-in crystal, or of the custom-crystal defaults."""
+    if name == "custom":
+        source = {f.name: f.default for f in fields(MaterialParams)}
+    else:
+        source = vars(builtin_material(name))
+    defaults = {}
+    for key, spec in _KEYS["material"].items():
+        if spec.field is not None:
+            value = source[spec.field]
+            defaults[key] = value / spec.scale if isinstance(value, float) else value
+    return defaults
 
 
 def _read_file(path: str) -> dict:
@@ -159,12 +184,7 @@ def _read_file(path: str) -> dict:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file {path!r}: {exc}") from None
-    raw = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        raw[section] = dict(parser.items(section))
-    return raw
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _apply_overrides(raw: dict, overrides) -> None:
@@ -180,58 +200,32 @@ def _apply_overrides(raw: dict, overrides) -> None:
 
 def _check_unknown_keys(raw: dict) -> None:
     for section, entries in raw.items():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key in entries:
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigurationError(
-                    f"unknown key [{section}] {key}; valid keys: {', '.join(_SCHEMA[section])}"
+                    f"unknown key [{section}] {key}; valid keys: {', '.join(_KEYS[section])}"
                 )
 
 
-def _resolve_material(entries: dict) -> dict:
-    name = entries.get("name", "sto").lower()
-    if name not in ("sto", "kto", "custom"):
-        raise ConfigurationError(
-            f"[material] name: must be 'sto', 'kto' or 'custom', got {name!r}"
-        )
-    resolved: dict = {"name": name}
-    if name == "custom":
-        base = {"defect_density": 0.0, "temperature_k": 0.01}
-    else:
-        base = dict(_BUILTIN_KEYS[name])
-    for key in _MATERIAL_NUMERIC:
+def _resolve(section: str, entries: dict) -> dict:
+    """Parse one section's entries and fill in the defaults of the keys it leaves out."""
+    resolved = {}
+    defaults = {}
+    for key, spec in _KEYS[section].items():
         if key in entries:
-            resolved[key] = _parse_float("material", key, entries[key])
-        elif key in base:
-            resolved[key] = base[key]
-        elif key == "loss_a3":
-            pass  # optional: absent means "not characterised"
+            value = spec.parse(section, key, entries[key])
+            if spec.positive and not value > 0.0:
+                raise ConfigurationError(f"[{section}] {key}: must be positive, got {value}")
         else:
-            raise ConfigurationError(f"[material] custom material requires key {key}")
+            value = defaults.get(key, spec.default)
+            if value is MISSING:
+                raise ConfigurationError(f"[{section}] {key} has no default and must be given")
+        resolved[key] = value
+        if key == "name":  # the crystal sets the defaults of the material keys after it
+            defaults = _material_defaults(value)
     return resolved
-
-
-def _resolve_sweep(entries: dict) -> dict:
-    variable = entries.get("variable")
-    if variable is None:
-        raise ConfigurationError("[sweep] variable is required when the section is present")
-    variable = variable.lower()
-    if variable not in _SWEEP_SCALE:
-        raise ConfigurationError(
-            f"[sweep] variable: unknown value {variable!r}; "
-            f"choose from {', '.join(_SWEEP_SCALE)}"
-        )
-    for key in ("min", "max", "count"):
-        if key not in entries:
-            raise ConfigurationError(f"[sweep] {key} is required when the section is present")
-    return {
-        "variable": variable,
-        "min": _parse_float("sweep", "min", entries["min"]),
-        "max": _parse_float("sweep", "max", entries["max"]),
-        "count": _parse_int("sweep", "count", entries["count"]),
-        "spacing": entries.get("spacing", "linear").lower(),
-    }
 
 
 def load_config(
@@ -239,8 +233,12 @@ def load_config(
     overrides=(),
     material: str | None = None,
     out_dir: str | None = None,
-) -> ToolConfig:
+) -> dict:
     """Read, override, validate and resolve a tool configuration.
+
+    Returns section -> key -> typed value (display units).  The ``sweep``
+    section is None when the configuration has none; each command then
+    substitutes its own default (see `effective_sections`).
 
     ``material`` and ``out_dir`` mirror the ``--material`` / ``--out``
     command-line shortcuts and take precedence over the file; ``overrides``
@@ -250,94 +248,40 @@ def load_config(
     if material is not None:
         raw.setdefault("material", {})["name"] = material
     _apply_overrides(raw, overrides)
-    _check_unknown_keys(raw)
-
-    geometry_raw = raw.get("geometry", {})
-    circuit_raw = raw.get("circuit", {})
-    drive_raw = raw.get("drive", {})
-    gain_raw = raw.get("gain", {})
-    output_raw = raw.get("output", {})
-
-    sections = {
-        "material": _resolve_material(raw.get("material", {})),
-        "geometry": {
-            "area_um2": _require_positive(
-                "geometry",
-                "area_um2",
-                _parse_float("geometry", "area_um2", geometry_raw.get("area_um2", "16")),
-            ),
-            "thickness_nm": _require_positive(
-                "geometry",
-                "thickness_nm",
-                _parse_float(
-                    "geometry", "thickness_nm", geometry_raw.get("thickness_nm", "200")
-                ),
-            ),
-        },
-        "circuit": {
-            "inductance_nh": _require_positive(
-                "circuit",
-                "inductance_nh",
-                _parse_float(
-                    "circuit", "inductance_nh", circuit_raw.get("inductance_nh", "0.5")
-                ),
-            ),
-            "q_ext": _require_positive(
-                "circuit", "q_ext", _parse_float("circuit", "q_ext", circuit_raw.get("q_ext", "100"))
-            ),
-        },
-        "drive": {
-            "v_ac_mv": _parse_float("drive", "v_ac_mv", drive_raw.get("v_ac_mv", "1")),
-            "theta_rad": _parse_float("drive", "theta_rad", drive_raw.get("theta_rad", "0")),
-        },
-        "sweep": _resolve_sweep(raw["sweep"]) if "sweep" in raw else None,
-        "gain": {
-            "xi_ratio": (
-                _parse_ratio_list("gain", "xi_ratio", gain_raw["xi_ratio"])
-                if "xi_ratio" in gain_raw
-                else None
-            ),
-            "count": _parse_int("gain", "count", gain_raw.get("count", "801")),
-            "half_span_kappa": _parse_float(
-                "gain", "half_span_kappa", gain_raw.get("half_span_kappa", "4")
-            ),
-        },
-        "output": {
-            "path": output_raw.get("path", "out"),
-            "format": output_raw.get("format", "csv").lower(),
-        },
-    }
     if out_dir is not None:
-        sections["output"]["path"] = out_dir
-    if sections["output"]["format"] != "csv":
-        raise ConfigurationError(
-            f"[output] format: only 'csv' is supported, got {sections['output']['format']!r}"
-        )
+        raw.setdefault("output", {})["path"] = out_dir
+    _check_unknown_keys(raw)
+    sections = {
+        section: _resolve(section, raw.get(section, {}))
+        if section in raw or section != "sweep"
+        else None
+        for section in _KEYS
+    }
     # Fail fast on inconsistent physics parameters.
     material_params(sections)
     count = sections["gain"]["count"]
     if count < 3 or count % 2 == 0:
         # The gain grid needs a sample on the pumped center for its 3-dB width.
         raise ConfigurationError(f"[gain] count: must be odd and at least 3, got {count}")
-    return ToolConfig(sections=sections)
+    return sections
 
 
-def effective_sections(config: ToolConfig, command: str) -> dict:
+def effective_sections(config: dict, command: str) -> dict:
     """Finalise the per-command view of the configuration (echo-ready).
 
     Fills the command's default sweep when none applies and resolves the
     gain ratios (from ``[gain] xi_ratio``, or a ``pump_ratio`` sweep, or the
     built-in default list).
     """
-    sections = {name: dict(entries) for name, entries in config.sections.items() if entries}
+    sections = {name: dict(entries) for name, entries in config.items() if entries}
     sweep = sections.get("sweep")
 
     if command == "material":
         if sweep is None or sweep["variable"] != "bias_field":
-            sections["sweep"] = dict(_DEFAULT_FIELD_SWEEP)
+            sections["sweep"] = _resolve("sweep", _DEFAULT_FIELD_SWEEP)
     elif command == "sweep":
         if sweep is None:
-            sections["sweep"] = dict(_DEFAULT_BIAS_SWEEP)
+            sections["sweep"] = _resolve("sweep", _DEFAULT_BIAS_SWEEP)
         elif sweep["variable"] not in ("bias_voltage", "plate_separation"):
             raise ConfigurationError(
                 f"[sweep] variable {sweep['variable']!r} is not sweepable here: use the "
@@ -353,7 +297,7 @@ def effective_sections(config: ToolConfig, command: str) -> dict:
             sections["gain"]["xi_ratio"] = ratios
         # The bias window for the working-point search.
         if sweep is None or sweep["variable"] != "bias_voltage":
-            sections["sweep"] = dict(_DEFAULT_BIAS_SWEEP)
+            sections["sweep"] = _resolve("sweep", _DEFAULT_BIAS_SWEEP)
     else:
         raise ValueError(f"unknown command {command!r}")
 
@@ -362,39 +306,30 @@ def effective_sections(config: ToolConfig, command: str) -> dict:
     return sections
 
 
+def _chain_fields(sections: dict, section: str) -> dict:
+    """The chain-object fields of one resolved section, in SI units."""
+    values = {}
+    for key, spec in _KEYS[section].items():
+        if spec.field is not None:
+            value = sections[section][key]
+            values[spec.field] = value if value is None else value * spec.scale
+    return values
+
+
 def material_params(sections: dict) -> MaterialParams:
-    m = sections["material"]
-    return MaterialParams(
-        eps00_rel=m["eps00_rel"],
-        curie_temp=m["curie_temp_k"],
-        debye_temp=m["debye_temp_k"],
-        renorm_field=m["renorm_field_v_per_um"] * 1e6,
-        inhomogeneity=m["inhomogeneity"],
-        a1=m["loss_a1"],
-        a2=m["loss_a2"],
-        a3=m.get("loss_a3"),
-        defect_density=m["defect_density"],
-        temperature=m["temperature_k"],
-    )
+    return MaterialParams(**_chain_fields(sections, "material"))
 
 
 def varactor_design(sections: dict) -> VaractorDesign:
-    g = sections["geometry"]
-    return VaractorDesign(
-        plate_area=g["area_um2"] * 1e-12,
-        thickness=g["thickness_nm"] * 1e-9,
-        material=material_params(sections),
-    )
+    return VaractorDesign(material=material_params(sections), **_chain_fields(sections, "geometry"))
 
 
 def circuit_params(sections: dict) -> CircuitParams:
-    c = sections["circuit"]
-    return CircuitParams(inductance=c["inductance_nh"] * 1e-9, q_ext=c["q_ext"])
+    return CircuitParams(**_chain_fields(sections, "circuit"))
 
 
 def drive_spec(sections: dict) -> DriveSpec:
-    d = sections["drive"]
-    return DriveSpec(v_ac=d["v_ac_mv"] * 1e-3, theta=d["theta_rad"])
+    return DriveSpec(**_chain_fields(sections, "drive"))
 
 
 def sweep_spec(sections: dict) -> SweepSpec:
@@ -410,27 +345,21 @@ def sweep_spec(sections: dict) -> SweepSpec:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("unexpected bool in config")
     if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
+        return ", ".join(map(str, value))
     return str(value)
 
 
 def echo_lines(sections: dict) -> list[str]:
     """Render the resolved config as INI lines (deterministic order)."""
     lines = []
-    for section in _SCHEMA:
+    for section, keys in _KEYS.items():
         entries = sections.get(section)
         if not entries:
             continue
         lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            if key in entries and entries[key] is not None:
+        for key in keys:
+            if entries.get(key) is not None:
                 lines.append(f"{key} = {_format_value(entries[key])}")
         lines.append("")
     if lines and lines[-1] == "":

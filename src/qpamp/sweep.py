@@ -1,7 +1,7 @@
 """Parameter sweeps and the working-point optimiser.
 
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
-floats plus a metadata snapshot, ready for CSV serialisation.  Bias and
+floats, ready for CSV serialisation.  Bias and
 bias-field tables are computed by column, from one array evaluation of the
 chain (for bias, the working-point record of `resonator.operating_point`);
 plate-separation rows (each a different design) are computed in order.
@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._version import __version__
 from .amplifier import _above_threshold
 from .errors import ConfigurationError, NumericalError
 from .material import MaterialParams, dielectric_response
@@ -93,12 +92,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered table of sweep rows plus a metadata snapshot."""
+    """Ordered, column-labelled table of sweep rows."""
 
     variable: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
-    metadata: dict[str, str]
 
     def column(self, name: str) -> list[float]:
         i = self.columns.index(name)
@@ -127,19 +125,6 @@ def default_workers() -> int:
 def _check_workers(workers) -> None:
     if workers is not None and not (isinstance(workers, int) and workers >= 1):
         raise ConfigurationError(f"workers must be None or a positive integer, got {workers!r}")
-
-
-def _metadata(spec: SweepSpec, **extra: object) -> dict[str, str]:
-    meta = {
-        "qpamp_version": __version__,
-        "variable": spec.variable,
-        "start": repr(spec.start),
-        "stop": repr(spec.stop),
-        "count": str(spec.count),
-        "spacing": spec.spacing,
-    }
-    meta.update({key: str(value) for key, value in extra.items()})
-    return meta
 
 
 def bias_sweep(
@@ -188,14 +173,6 @@ def bias_sweep(
         variable=spec.variable,
         columns=(*columns, "peak_gain_db"),
         rows=tuple(zip(*(values.tolist() for values in columns.values()), peak_db)),
-        metadata=_metadata(
-            spec,
-            plate_area_m2=repr(design.plate_area),
-            thickness_m=repr(design.thickness),
-            inductance_h=repr(circuit.inductance),
-            q_ext=repr(circuit.q_ext),
-            v_ac_v=repr(drive.v_ac),
-        ),
     )
 
 
@@ -222,7 +199,6 @@ def dielectric_sweep(
         variable=spec.variable,
         columns=tuple(columns),
         rows=tuple(zip(*(values.tolist() for values in columns.values()))),
-        metadata=_metadata(spec, eps00_rel=repr(material.eps00_rel)),
     )
 
 
@@ -352,11 +328,4 @@ def geometry_sweep(
             "xi_over_keff",
         ),
         rows=tuple(map(row, points)),
-        metadata=_metadata(
-            spec,
-            area_per_thickness_m=repr(area_ratio),
-            inductance_h=repr(circuit.inductance),
-            q_ext=repr(circuit.q_ext),
-            v_ac_v=repr(drive.v_ac),
-        ),
     )

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import qpamp
@@ -413,14 +412,14 @@ class TestSweepCommand:
     @pytest.mark.parametrize("command", ["sweep", "design", "gain"])
     def test_non_finite_results_exit_3(self, tmp_path, capsys, command):
         # Biases up to 1e300 mV overflow the normalised field: the chain
-        # gives NaN there, and numpy reports the overflow on the array path.
+        # gives NaN there, and no numpy warning reaches stderr.
         overrides = ("variable=bias_voltage", "min=0", "max=1e300", "count=5")
         argv = [command, "--out", str(tmp_path)]
         for item in overrides:
             argv += ["--override", f"sweep.{item}"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(argv) == 3
-        assert "not finite" in capsys.readouterr().err
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not finite" in err[0]
         assert not any(tmp_path.iterdir())
 
     def test_pump_ratio_not_sweepable_here(self, tmp_path, capsys):
@@ -441,6 +440,35 @@ class TestSweepCommand:
         )
         assert rc == 2
         assert "pump_ratio" in capsys.readouterr().err
+
+
+# Overrides whose chain overflows, divides by zero or gives non-finite cells.
+NUMERICAL_FAILURES = {
+    "v_ac_overflow": ["design", "--override", "drive.v_ac_mv=1e300"],
+    "renorm_field_underflow": ["design", "--override", "material.renorm_field_v_per_um=1e-300"],
+    "inhomogeneity_overflow": ["material", "--override", "material.inhomogeneity=1e300"],
+    "field_sweep_overflow": [
+        "material",
+        "--override",
+        "sweep.variable=bias_field",
+        "--override",
+        "sweep.min=0",
+        "--override",
+        "sweep.max=1e300",
+        "--override",
+        "sweep.count=3",
+    ],
+    "eps00_overflow": ["material", "--override", "material.eps00_rel=1e308"],
+    "gain_span_overflow": ["gain", "--override", "gain.half_span_kappa=1e300"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMERICAL_FAILURES.values(), ids=NUMERICAL_FAILURES)
+def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qpamp: error:"), err
+    assert not any(tmp_path.iterdir())
 
 
 class TestOutputContract:

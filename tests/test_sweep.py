@@ -155,13 +155,6 @@ class TestBiasSweep:
         with pytest.raises(ConfigurationError):
             bias_sweep(SweepSpec("bias_field", 0.0, 1e6, 5), STO_DESIGN, CIRCUIT, DRIVE)
 
-    def test_metadata(self):
-        spec = SweepSpec("bias_voltage", 0.0, 0.25, 3)
-        result = bias_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE, workers=1)
-        assert result.metadata["variable"] == "bias_voltage"
-        assert result.metadata["count"] == "3"
-        assert "qpamp_version" in result.metadata
-
 
 class TestMaximize:
     def test_sto_optimum(self):
