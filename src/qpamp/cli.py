@@ -128,7 +128,14 @@ def _working_point(sections: dict):
             file=sys.stderr,
         )
     point = operating_point(best.v0_max, drive, design, circuit)
-    return best, point, RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
+    rates = (point.omega0, point.kappa_int, point.kappa_ext)
+    if not all(map(math.isfinite, rates)):
+        # An overflow here (kappa_int = omega0 tan(delta)) is numerical, not a config error.
+        raise NumericalError(
+            "working point has non-finite rates: omega0 = {}, kappa_int = {}, kappa_ext = {} "
+            "rad/s".format(*rates)
+        )
+    return best, point, RateBudget(*rates)
 
 
 def cmd_design(config: dict) -> None:

@@ -312,7 +312,15 @@ def _chain_fields(sections: dict, section: str) -> dict:
     for key, spec in _KEYS[section].items():
         if spec.field is not None:
             value = sections[section][key]
-            values[spec.field] = value if value is None else value * spec.scale
+            if value is not None:
+                scaled = value * spec.scale
+                if math.isinf(scaled) or (scaled == 0.0) != (value == 0.0):
+                    # Finite in display units, but over- or underflows in SI.
+                    raise ConfigurationError(
+                        f"[{section}] {key}: {value} is out of floating-point range in SI units"
+                    )
+                value = scaled
+            values[spec.field] = value
     return values
 
 

@@ -16,6 +16,12 @@ processes downstream:
 
 (primes on U with respect to charge, on C with respect to voltage, all
 evaluated at the working point).
+
+`voltage_from_charge` inverts q(v) by Newton steps with dq/dv = C(v),
+started from the closed-form inverse of an ideal crystal (lam_s = 0).  That
+start never lies beyond the root and q is concave in |v|, so the iterates
+rise monotonically and need no bracket; q(v_max) is integrated only when an
+iterate leaves the trusted range.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, NumericalError
-from .material import MaterialParams, permittivity, permittivity_derivatives
+from .material import MaterialParams, eta, permittivity, permittivity_derivatives
 
 __all__ = [
     "VaractorDesign",
@@ -144,26 +150,54 @@ def charge(voltage: float, design: VaractorDesign) -> float:
 
 
 def voltage_from_charge(q: float, design: VaractorDesign) -> float:
-    """Invert q(v) on the trusted voltage range.
+    """Invert q(v) on the trusted voltage range by Newton steps with dq/dv = C(v).
+
+    The start is the exact inverse for an ideal crystal (lam_s = 0), where
+    ``integral G dx = (3/2) y`` gives ``y = |q| / ((3/2) eps0 A eps00_rel E_N)``
+    and ``v = d E_N (y**3 + 3 eta y) / 2``.  Since lam >= |E| / E_N and G
+    falls with lam, a real crystal stores no more charge than the ideal one,
+    so the start never lies beyond the root.  q is concave in |v| (C falls
+    with |v|), so each tangent step lands short of the root again and the
+    iterates rise monotonically without a bracket.  They stop on a step of a
+    few ulps or on one that no longer shrinks (quadrature noise).
+
+    q(v_max), the costliest integral, is computed only when an iterate
+    leaves [-v_max, v_max]; the iterate is then clamped to the window edge.
 
     Raises
     ------
     ValueError
-        If ``q`` lies outside [q(-v_max), q(v_max)].
+        If ``q`` is not finite or lies outside [q(-v_max), q(v_max)].
+    NumericalError
+        If the steps do not settle.
     """
-    from scipy.optimize import brentq
-
     if q == 0.0:
         return 0.0
-    q_max = charge(design.v_max, design)
-    if abs(q) > q_max:
-        raise ValueError(
-            f"charge {q} C outside invertible range +-{q_max:.6g} C (v_max = {design.v_max} V)"
-        )
-    lo, hi = (0.0, design.v_max) if q > 0.0 else (-design.v_max, 0.0)
-    return brentq(
-        lambda v: charge(v, design) - q, lo, hi, xtol=1e-18, rtol=1e-14, maxiter=200
+    material = design.material
+    y = abs(q) / (1.5 * epsilon_0 * design.plate_area * material.eps00_rel * material.renorm_field)
+    v = math.copysign(
+        0.5 * design.thickness * material.renorm_field * y * (y * y + 3.0 * eta(material)), q
     )
+    q_max = None
+    step = math.inf
+    for _ in range(50):
+        # Negated tests: a NaN or infinite q leaves the window and is refused here.
+        if not abs(v) <= design.v_max:
+            if q_max is None:
+                q_max = charge(design.v_max, design)
+            if not abs(q) <= q_max:
+                raise ValueError(
+                    f"charge {q} C outside invertible range +-{q_max:.6g} C "
+                    f"(v_max = {design.v_max} V)"
+                )
+            v = math.copysign(design.v_max, q)
+        if abs(step) <= 4.0 * math.ulp(v):
+            return v
+        last, step = step, (q - charge(v, design)) / capacitance(v, design)
+        if not abs(step) < abs(last):
+            return v
+        v += step
+    raise NumericalError(f"Newton inversion of charge {q} C did not converge (last step {step} V)")
 
 
 def energy(voltage: float, design: VaractorDesign) -> float:

@@ -1,7 +1,8 @@
 """Independent numerical oracles used to validate the analytic code paths.
 
 Nothing here shares algorithms with the package: the cubic is solved by
-plain bisection instead of Cardano's formula, the 3-dB point by a scan plus
+plain bisection instead of Cardano's formula, q(v) is inverted by bisection
+instead of Newton steps, the 3-dB point by a scan plus
 bisection instead of polynomial roots, integrals use fixed-panel
 midpoint Riemann sums instead of adaptive quadrature, and derivatives use
 high-order finite-difference stencils instead of the chain rule.  The one
@@ -29,6 +30,24 @@ def cubic_root_bisect(lam: float, eta: float) -> float:
 def greens_bisect(lam: float, eta: float) -> float:
     y = cubic_root_bisect(lam, eta)
     return 1.0 / (y * y + eta)
+
+
+def invert_bisect(charge, q: float, v_max: float) -> float:
+    """Voltage v in [-v_max, v_max] with charge(v) = q, for an increasing charge(v).
+
+    Up to 200 bisection steps; the loop ends early once the bracket's ends
+    are adjacent floats, where further steps cannot move it.
+    """
+    lo, hi = (0.0, v_max) if q > 0.0 else (-v_max, 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if charge(mid) > q:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def riemann_midpoint(func, lo: float, hi: float, panels: int = 20000) -> float:

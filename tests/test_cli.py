@@ -14,6 +14,7 @@ from qpamp import permittivity, builtin_material
 from qpamp.amplifier import GridSpec, profile_from_rates, rate_budget, reflection
 from qpamp.cli import main
 from qpamp.config import (
+    _KEYS,
     config_text_from_output,
     effective_sections,
     circuit_params,
@@ -172,6 +173,19 @@ class TestConfigDiagnostics:
         key = override.split("=")[0].split(".")[1]
         assert f"[drive] {key}" in capsys.readouterr().err
         assert not (tmp_path / "design.kv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(s, k) for s, keys in _KEYS.items() for k, spec in keys.items() if spec.scale != 1.0],
+    )
+    def test_scaled_value_out_of_range_names_its_key(self, tmp_path, capsys, section, key):
+        # Finite in display units, but inf (scale > 1) or 0 (scale < 1) in SI.
+        value = "1e308" if _KEYS[section][key].scale > 1.0 else "5e-324"
+        rc = main(["design", "--out", str(tmp_path), "--override", f"{section}.{key}={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"[{section}] {key}" in err[0], err
+        assert not any(tmp_path.iterdir())
 
     def test_even_gain_count_rejected(self, tmp_path, capsys):
         # An even grid has no sample on the pumped center, so no 3-dB width.
@@ -460,6 +474,9 @@ NUMERICAL_FAILURES = {
     ],
     "eps00_overflow": ["material", "--override", "material.eps00_rel=1e308"],
     "gain_span_overflow": ["gain", "--override", "gain.half_span_kappa=1e300"],
+    # kappa_int = omega0 tan(delta) overflows before the rate budget is built.
+    "kappa_int_overflow_design": ["design", "--override", "material.loss_a2=1e308"],
+    "kappa_int_overflow_gain": ["gain", "--override", "material.loss_a2=1e308"],
 }
 
 

@@ -1,19 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.constants import epsilon_0
 
+import qpamp.varactor
 from oracles import (
     fd6_first,
     fd6_second,
     finite_difference_capacitance_derivatives,
+    invert_bisect,
     riemann_midpoint,
 )
 from qpamp import (
     KTO,
     STO,
     ConfigurationError,
+    NumericalError,
     VaractorDesign,
     capacitance,
     capacitance_derivatives,
@@ -25,6 +29,10 @@ from qpamp import (
 
 STO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=STO)
 KTO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=KTO)
+# An ideal crystal (lam_s = 0), where the Newton start is already the root.
+IDEAL_DESIGN = VaractorDesign(16e-12, 200e-9, replace(STO, inhomogeneity=0.0))
+DESIGNS = {"sto": STO_DESIGN, "kto": KTO_DESIGN, "ideal": IDEAL_DESIGN}
+BIASES = [s * v for v in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0) for s in (1.0, -1.0)]
 
 
 class TestCapacitance:
@@ -123,6 +131,52 @@ class TestInversion:
         q_max = charge(STO_DESIGN.v_max, STO_DESIGN)
         with pytest.raises(ValueError):
             voltage_from_charge(1.5 * q_max, STO_DESIGN)
+
+    @pytest.mark.parametrize("v", BIASES)
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_against_bisection(self, name, v):
+        design = DESIGNS[name]
+        q = charge(v, design)
+        expected = invert_bisect(lambda u: charge(u, design), q, design.v_max)
+        assert voltage_from_charge(q, design) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_window_edges_invert(self, name):
+        # Rounding can put an iterate just past v_max; it is clamped, not refused.
+        design = DESIGNS[name]
+        for sign in (1.0, -1.0):
+            q = charge(sign * design.v_max, design)
+            assert abs(voltage_from_charge(q, design) - sign * design.v_max) <= 1e-10
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_charge_refused(self, q):
+        with pytest.raises(ValueError):
+            voltage_from_charge(q, STO_DESIGN)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_charge_calls(self, name, monkeypatch):
+        # Newton needs few integrals, and q(v_max) only when an iterate leaves the window.
+        design = DESIGNS[name]
+        targets = [charge(v, design) for v in BIASES if abs(v) < design.v_max]
+        seen = []
+
+        def counted(v, d):
+            seen.append(v)
+            return charge(v, d)
+
+        monkeypatch.setattr(qpamp.varactor, "charge", counted)
+        for q in targets:
+            seen.clear()
+            voltage_from_charge(q, design)
+            assert 1 <= len(seen) <= 8, seen
+            assert all(abs(v) < design.v_max for v in seen), seen
+
+    def test_unsettled_steps_raise(self, monkeypatch):
+        # Against a charge 10x shallower than C, each step closes a tenth of the gap.
+        slope = capacitance(0.0, STO_DESIGN) / 10.0
+        monkeypatch.setattr(qpamp.varactor, "charge", lambda v, d: slope * v)
+        with pytest.raises(NumericalError, match="did not converge"):
+            voltage_from_charge(slope * 1e-3, STO_DESIGN)
 
 
 class TestEnergy:
