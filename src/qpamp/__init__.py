@@ -28,9 +28,7 @@ from .material import (
     MaterialParams,
     builtin_material,
     dielectric_response,
-    displacement,
     eta,
-    greens,
     normalized_bias,
     permittivity,
     permittivity_derivatives,
@@ -42,7 +40,6 @@ from .resonator import (
     kerr_strength,
     mode,
     operating_point,
-    pump_photon_estimate,
     three_wave_strength,
 )
 from .sweep import (
@@ -80,8 +77,6 @@ __all__ = [
     "builtin_material",
     "eta",
     "normalized_bias",
-    "greens",
-    "displacement",
     "permittivity",
     "permittivity_derivatives",
     "dielectric_response",
@@ -100,7 +95,6 @@ __all__ = [
     "three_wave_strength",
     "kerr_strength",
     "operating_point",
-    "pump_photon_estimate",
     "RateBudget",
     "GridSpec",
     "GainProfile",

@@ -132,12 +132,10 @@ class CompressionEstimate:
     p_dbm_angular: float
 
 
-def rate_budget(
-    v0: float, design: VaractorDesign, circuit: CircuitParams, delta: float = 0.0
-) -> RateBudget:
-    """Internal/external rates of the varactor resonator at bias v0."""
+def rate_budget(v0: float, design: VaractorDesign, circuit: CircuitParams) -> RateBudget:
+    """Internal/external rates of the varactor resonator at bias v0, pumped at 2 omega0."""
     point = operating_point(v0, DriveSpec(v_ac=0.0), design, circuit)
-    return RateBudget(point.omega0, point.kappa_int, point.kappa_ext, delta)
+    return RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
 
 
 def _above_threshold(xi_mag, half_kappa, delta=0.0):
@@ -233,19 +231,15 @@ def gain_profile(
     design: VaractorDesign,
     circuit: CircuitParams,
     grid: GridSpec = GridSpec(),
-    delta: float = 0.0,
 ) -> GainProfile:
-    """Gain profile of the physical design at bias v0 under the given pump drive."""
+    """Gain profile of the physical design at bias v0, pumped at 2 omega0 by the drive."""
     point = operating_point(v0, drive, design, circuit)
-    rates = RateBudget(point.omega0, point.kappa_int, point.kappa_ext, delta)
+    rates = RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
     return profile_from_rates(rates, abs(point.xi), grid)
 
 
 def compression_estimate(
-    k_eff: float,
-    rates: RateBudget,
-    omega0: float | None = None,
-    n_photons: float | None = None,
+    k_eff: float, rates: RateBudget, n_photons: float | None = None
 ) -> CompressionEstimate:
     """Circulating-power scale where the Kerr shift starts to compress the gain.
 
@@ -260,13 +254,12 @@ def compression_estimate(
     """
     if k_eff <= 0.0 and n_photons is None:
         raise ValueError("k_eff must be positive to set a Kerr-limited photon budget")
-    w0 = rates.omega0 if omega0 is None else omega0
     n = rates.kappa / k_eff if n_photons is None else n_photons
     if n <= 0.0:
         raise ValueError("photon budget must be positive")
     two_pi = 2.0 * math.pi
-    p_ordinary = n * hbar * (w0 / two_pi) * (rates.kappa / two_pi)
-    p_angular = n * hbar * w0 * rates.kappa
+    p_ordinary = n * hbar * (rates.omega0 / two_pi) * (rates.kappa / two_pi)
+    p_angular = n * hbar * rates.omega0 * rates.kappa
     return CompressionEstimate(
         n_photons=n,
         p_dbm_ordinary=10.0 * math.log10(p_ordinary / 1e-3),

@@ -324,20 +324,36 @@ def _chain_fields(sections: dict, section: str) -> dict:
     return values
 
 
+def _build(cls, sections: dict, section: str, **extra):
+    """The chain object of one section; a rule on one field is reported under its key."""
+    values = _chain_fields(sections, section)
+    try:
+        return cls(**values, **extra)
+    except ConfigurationError as exc:
+        # Per-field rules read "... parameter 'field' must be ..."; cross-field ones name no field.
+        for key, spec in _KEYS[section].items():
+            rule = str(exc).partition(f"{spec.field!r} ")[2] if spec.field else ""
+            if rule:
+                raise ConfigurationError(
+                    f"[{section}] {key}: {rule}, got {sections[section][key]}"
+                ) from None
+        raise
+
+
 def material_params(sections: dict) -> MaterialParams:
-    return MaterialParams(**_chain_fields(sections, "material"))
+    return _build(MaterialParams, sections, "material")
 
 
 def varactor_design(sections: dict) -> VaractorDesign:
-    return VaractorDesign(material=material_params(sections), **_chain_fields(sections, "geometry"))
+    return _build(VaractorDesign, sections, "geometry", material=material_params(sections))
 
 
 def circuit_params(sections: dict) -> CircuitParams:
-    return CircuitParams(**_chain_fields(sections, "circuit"))
+    return _build(CircuitParams, sections, "circuit")
 
 
 def drive_spec(sections: dict) -> DriveSpec:
-    return DriveSpec(**_chain_fields(sections, "drive"))
+    return _build(DriveSpec, sections, "drive")
 
 
 def sweep_spec(sections: dict) -> SweepSpec:

@@ -54,8 +54,6 @@ __all__ = [
     "builtin_material",
     "eta",
     "normalized_bias",
-    "greens",
-    "displacement",
     "permittivity",
     "permittivity_derivatives",
     "dielectric_response",
@@ -97,10 +95,14 @@ class MaterialParams:
         Charged-defect loss coefficient; ``None`` when the defect channel
         has not been characterised for this crystal.
     defect_density : float
-        Normalised charged-defect density; 0 for nominally pure crystals.
+        Normalised charged-defect density; 0 for nominally pure crystals,
+        and required to be 0 while ``a3`` is ``None``.
     temperature : float
         Operating temperature [K].  The low-temperature expansion used here
         requires ``temperature < debye_temp / 10``.
+
+    Construction also requires ``eta(params) > 0``, so every evaluation of
+    the chain can take the quantum-paraelectric state for granted.
     """
 
     eps00_rel: float
@@ -130,30 +132,28 @@ class MaterialParams:
                 "low-temperature model requires temperature < debye_temp/10 "
                 f"(got {self.temperature} K vs {self.debye_temp} K)"
             )
-        eta_val = eta(self)
-        if eta_val < 0.0:
+        if self.defect_density > 0.0 and self.a3 is None:
             raise ConfigurationError(
-                f"material parameters give eta = {eta_val:.6g} < 0, a ferroelectric ground "
-                "state outside the quantum-paraelectric model (needs debye_temp > 4 curie_temp)"
+                "defect_density > 0 requires the charged-defect loss coefficient a3"
+            )
+        eta_val = eta(self)
+        if not eta_val > 0.0:
+            # eta < 0 is a ferroelectric ground state, eta = 0 the quantum critical point.
+            raise ConfigurationError(
+                f"material parameters give eta = {eta_val:.6g}, outside the quantum-paraelectric "
+                "model, which needs eta > 0 (debye_temp > 4 curie_temp)"
             )
 
 
 @dataclass(frozen=True)
 class DielectricResponse:
-    """Full dielectric state of a material at one bias field (or an array of them).
+    """Dielectric state of a material at one bias field (or an array of them).
 
-    ``loss_tangent`` is the total tan(delta); the three ``tan_delta_*``
-    fields give the breakdown by mechanism.  ``gamma`` is the loss kernel
-    ``loss_tangent / greens`` (the sum of per-mechanism kernels), useful
-    when comparing crystals at different tuning points.  ``deps_dE`` and
-    ``d2eps_dE2`` are those of `permittivity_derivatives`.
+    ``eps_rel``, ``deps_dE`` and ``d2eps_dE2`` are those of
+    `permittivity_derivatives`; ``loss_tangent`` is the total tan(delta) and
+    the three ``tan_delta_*`` fields give its breakdown by mechanism.
     """
 
-    bias_field: float
-    lam: float
-    eta: float
-    greens: float
-    displacement: float
     eps_rel: float
     deps_dE: float
     d2eps_dE2: float
@@ -161,7 +161,6 @@ class DielectricResponse:
     tan_delta_1: float
     tan_delta_2: float
     tan_delta_3: float
-    gamma: float
 
 
 # Table values for the two workhorse crystals near 10 mK.
@@ -224,37 +223,9 @@ def _solve_cubic(lam, eta_val: float):
     return 2.0 * lam / (u * u + w * w + eta_val)
 
 
-def _check_args(lam: float, eta_val: float) -> None:
-    if lam < 0.0:
-        raise ValueError(f"normalised bias must be >= 0 (got {lam})")
-    if not eta_val > 0.0:
-        raise ValueError(
-            f"barrier parameter must be positive for a quantum paraelectric (got {eta_val})"
-        )
-
-
-def greens(lam: float, eta_val: float) -> float:
-    """Soft-mode Green's function ``G = 1 / (y**2 + eta)`` at normalised bias lam.
-
-    Decreases monotonically from ``1/eta`` at zero bias.
-    """
-    _check_args(lam, eta_val)
-    y = _solve_cubic(lam, eta_val)
-    return 1.0 / (y * y + eta_val)
-
-
-def displacement(lam: float, eta_val: float) -> float:
-    """Normalised residual displacement ``y``: the real root of y^3 + 3 eta y = 2 lam."""
-    _check_args(lam, eta_val)
-    return _solve_cubic(lam, eta_val)
-
-
 def _state(bias_field, params: MaterialParams):
     """(lam, eta, y, G) at one bias field or at an array of them."""
     eta_val = eta(params)
-    if not eta_val > 0.0:
-        # MaterialParams refuses eta < 0; eta = 0 is the quantum critical point.
-        raise ConfigurationError("the quantum-paraelectric model needs eta > 0, got eta = 0")
     lam = normalized_bias(bias_field, params)
     y = _solve_cubic(lam, eta_val)
     return lam, eta_val, y, 1.0 / (y * y + eta_val)
@@ -312,45 +283,26 @@ def _derivatives(bias_field, params: MaterialParams, lam, eta_val, y, g):
 def dielectric_response(bias_field, params: MaterialParams) -> DielectricResponse:
     """Evaluate permittivity, its field derivatives and the full loss budget at one bias field.
 
-    An array of fields gives a response whose fields (all but ``eta``) are
-    arrays.  The three loss channels are
+    An array of fields gives a response whose fields are arrays.  The three
+    loss channels are
 
         tan_delta_1 = a1 * (T / T_c)**2 * G**(3/2)     (multi-phonon)
         tan_delta_2 = a2 * y**2 * G                    (quasi-Debye)
         tan_delta_3 = a3 * n_d * G                     (charged defects)
-
-    Raises
-    ------
-    ConfigurationError
-        If ``defect_density > 0`` but no ``a3`` coefficient is set.
     """
-    defect = 0.0
-    if params.defect_density > 0.0:
-        if params.a3 is None:
-            raise ConfigurationError(
-                "defect_density > 0 requires the charged-defect loss coefficient a3"
-            )
-        defect = params.a3 * params.defect_density
     lam, eta_val, y, g = _state(bias_field, params)
     eps_rel, deps_dE, d2eps_dE2 = _derivatives(bias_field, params, lam, eta_val, y, g)
     t_ratio = params.temperature / params.curie_temp
     tan1 = params.a1 * t_ratio * t_ratio * g**1.5
     tan2 = params.a2 * y * y * g
-    tan3 = defect * g
-    total = tan1 + tan2 + tan3
+    # MaterialParams leaves a3 unset only for a defect-free crystal.
+    tan3 = params.defect_density * (params.a3 or 0.0) * g
     return DielectricResponse(
-        bias_field=bias_field,
-        lam=lam,
-        eta=eta_val,
-        greens=g,
-        displacement=y,
         eps_rel=eps_rel,
         deps_dE=deps_dE,
         d2eps_dE2=d2eps_dE2,
-        loss_tangent=total,
+        loss_tangent=tan1 + tan2 + tan3,
         tan_delta_1=tan1,
         tan_delta_2=tan2,
         tan_delta_3=tan3,
-        gamma=total / g,
     )
-

@@ -44,7 +44,6 @@ __all__ = [
     "three_wave_strength",
     "kerr_strength",
     "operating_point",
-    "pump_photon_estimate",
 ]
 
 # Reduced Planck constant h / 2pi [J s], exact in the 2019 SI.
@@ -77,10 +76,6 @@ class DriveSpec:
         if not math.isfinite(self.theta):
             raise ConfigurationError(f"theta must be finite, got {self.theta!r}")
 
-    def charge_amplitude(self, cap: float) -> float:
-        """Pump charge amplitude q_ac = v_ac * C(v0) for a given capacitance."""
-        return self.v_ac * cap
-
 
 @dataclass(frozen=True)
 class ModeCoefficients:
@@ -88,8 +83,9 @@ class ModeCoefficients:
 
     ``c`` is C(v0) [F]; ``eps_rel`` and ``loss_tangent`` describe the film.  The linewidths
     ``kappa_int`` and ``kappa_ext``, the complex three-wave strength ``xi`` and the Kerr
-    shift per photon ``k_eff`` are in rad/s; ``pump_photons`` is (q_ac / 2 q_zpf)**2.
-    The last three are zero in the output of `mode`, which evaluates the linear part only.
+    shift per photon ``k_eff`` are in rad/s.  ``pump_photons`` is (q_ac / 2 q_zpf)**2 with
+    q_ac = v_ac C(v0): a diagnostic of the classical pump that enters no gain or coupling
+    formula.  The last three are zero in the output of `mode`, which evaluates the linear part only.
     """
 
     omega0: float
@@ -159,18 +155,6 @@ def operating_point(
         kappa_ext=omega0 / circuit.q_ext,
         xi=_xi(c, c1, drive, circuit),
         k_eff=(-c2 + 3.0 * c1 * c1 / c) * v_zpf**4 / (2.0 * hbar),
-        pump_photons=(drive.charge_amplitude(c) / (2.0 * q_zpf)) ** 2,
+        pump_photons=(drive.v_ac * c / (2.0 * q_zpf)) ** 2,
     )
 
-
-def pump_photon_estimate(
-    v0: float, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams
-) -> float:
-    """Rough pump occupation (q_ac / 2 q_zpf)**2 at the working point.
-
-    Diagnostic only: the pump is a classical stiff tone in this model, so
-    this number never enters the gain or coupling formulas.  It is useful as
-    a sanity check that the pump stays far above the quantum scale but far
-    below any depletion regime.
-    """
-    return operating_point(v0, drive, design, circuit).pump_photons

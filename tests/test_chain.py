@@ -20,7 +20,6 @@ from qpamp import (
     capacitance,
     capacitance_derivatives,
     dielectric_response,
-    eta,
     kerr_strength,
     mode,
     operating_point,
@@ -91,15 +90,11 @@ def test_permittivity_derivatives_arrays(material):
 @MATERIALS
 def test_dielectric_response_arrays(material):
     names = (
-        "lam",
-        "greens",
-        "displacement",
         "eps_rel",
         "loss_tangent",
         "tan_delta_1",
         "tan_delta_2",
         "tan_delta_3",
-        "gamma",
     )
     assert_elementwise(
         lambda e: [getattr(dielectric_response(e, material), n) for n in names], FIELDS, names
@@ -241,13 +236,6 @@ def test_negative_eta_rejected():
         MaterialParams(**{**STO.__dict__, "curie_temp": 100.0})
 
 
-def test_zero_eta_refused_by_the_chain():
-    marginal = MaterialParams(**{**IDEAL.__dict__, "curie_temp": 43.75})
-    assert eta(marginal) == 0.0
-    with pytest.raises(ConfigurationError, match="eta"):
-        permittivity(1e5, marginal)
-
-
 def test_negative_eta_is_rejected_at_load(tmp_path, capsys):
     with pytest.raises(ConfigurationError, match="eta"):
         load_config(overrides=["material.curie_temp_k=100"])
@@ -256,3 +244,16 @@ def test_negative_eta_is_rejected_at_load(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
     assert not (tmp_path / "material.csv").exists()
 
+
+
+def test_zero_eta_is_rejected_at_load(tmp_path, capsys):
+    # 168 K = 4 * 42 K (STO's curie_temp) at T = 0 gives eta = 0 exactly.
+    overrides = ["material.debye_temp_k=168", "material.temperature_k=0"]
+    with pytest.raises(ConfigurationError, match="eta = 0,"):
+        load_config(overrides=overrides)
+    argv = ["material", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert "eta = 0," in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -187,6 +187,20 @@ class TestConfigDiagnostics:
         assert len(err) == 1 and f"[{section}] {key}" in err[0], err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "key, rule",
+        [
+            ("loss_a1", "must be finite and non-negative"),
+            ("debye_temp_k", "must be finite and positive"),
+        ],
+    )
+    def test_negative_material_value_names_its_key(self, tmp_path, capsys, key, rule):
+        rc = main(["design", "--out", str(tmp_path), "--override", f"material.{key}=-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"qpamp: config error: [material] {key}: {rule}, got -1.0"], err
+        assert not any(tmp_path.iterdir())
+
     def test_even_gain_count_rejected(self, tmp_path, capsys):
         # An even grid has no sample on the pumped center, so no 3-dB width.
         assert main(["gain", "--out", str(tmp_path), "--override", "gain.count=800"]) == 2

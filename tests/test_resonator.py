@@ -20,7 +20,6 @@ from qpamp import (
     kerr_strength,
     mode,
     operating_point,
-    pump_photon_estimate,
     three_wave_strength,
 )
 
@@ -185,7 +184,7 @@ class TestOperatingPoint:
         c = capacitance(v0, STO_DESIGN)
         q_zpf = mode(v0, STO_DESIGN, CIRCUIT).q_zpf
         want = (DRIVE.v_ac * c / (2.0 * q_zpf)) ** 2
-        got = pump_photon_estimate(v0, DRIVE, STO_DESIGN, CIRCUIT)
+        got = operating_point(v0, DRIVE, STO_DESIGN, CIRCUIT).pump_photons
         assert got == pytest.approx(want, rel=1e-12)
         assert 1e6 < got < 1e7  # classical-pump sanity scale
 
@@ -216,6 +215,3 @@ class TestSpecs:
     def test_drive_rejects_non_finite_phase(self, theta):
         with pytest.raises(ConfigurationError):
             DriveSpec(v_ac=1e-3, theta=theta)
-
-    def test_charge_amplitude(self):
-        assert DriveSpec(2e-3).charge_amplitude(5e-12) == pytest.approx(1e-14, rel=1e-15)
