@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, ThresholdError
 from .resonator import CircuitParams, DriveSpec, hbar, operating_point
 from .varactor import VaractorDesign
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RateBudget",
@@ -119,6 +121,8 @@ class GainProfile:
 
     @property
     def gain_db(self) -> np.ndarray:
+        import numpy as np
+
         with np.errstate(divide="ignore"):
             return 20.0 * np.log10(np.abs(self.reflection))
 
@@ -153,6 +157,8 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
 
     ``omega`` may be a scalar or an array [rad/s]; the return matches.
     """
+    import numpy as np
+
     if not xi_mag >= 0.0:
         raise ValueError("xi_mag must be non-negative")
     _check_threshold(xi_mag, rates)
@@ -171,6 +177,8 @@ def _half_power_offset(rates: RateBudget, xi_mag: float, half: float, max_offset
     N - D = (a + u**2) + i (c0 + c1 u), so |N - D|**2 - half |D|**2 is a
     quartic in u without a cubic term (and even in u when delta = 0).
     """
+    import numpy as np
+
     k = rates.kappa
     x, d, ke = xi_mag / k, rates.delta / k, rates.kappa_ext / k
     b = d * d + 0.25 - x * x
@@ -192,6 +200,8 @@ def _half_power_offset(rates: RateBudget, xi_mag: float, half: float, max_offset
 
 def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSpec()) -> GainProfile:
     """Sample the reflection curve around omega_p/2 for a given pump strength."""
+    import numpy as np
+
     _check_threshold(xi_mag, rates)
     center = rates.omega_p / 2.0
     span = grid.half_span_kappa * rates.kappa

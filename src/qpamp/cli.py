@@ -22,11 +22,10 @@ codes: 0 on success, 2 for configuration problems, 3 for numerical failures
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from ._version import __version__
 from .amplifier import GridSpec, RateBudget, compression_estimate, profile_from_rates
@@ -85,6 +84,25 @@ def _write_csv(path: Path, command: str, sections: dict, columns, rows) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
+def _table_command(command):
+    """Run a command that builds numpy arrays with numpy's floating-point warnings off.
+
+    Overflow and 0/0 then surface as non-finite cells (checked by `_write_csv`) or as
+    ArithmeticError, not as warnings.  `cmd_design` evaluates plain floats and never
+    loads numpy, so it is not wrapped.
+    """
+
+    @functools.wraps(command)
+    def run(config: dict) -> None:
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            command(config)
+
+    return run
+
+
+@_table_command
 def cmd_material(config: dict) -> None:
     """Dielectric response table over the configured bias-field range."""
     sections = effective_sections(config, "material")
@@ -180,6 +198,7 @@ def cmd_design(config: dict) -> None:
     print(f"wrote {out / 'design.kv'}")
 
 
+@_table_command
 def cmd_gain(config: dict) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     sections = effective_sections(config, "gain")
@@ -206,6 +225,7 @@ def cmd_gain(config: dict) -> None:
     )
 
 
+@_table_command
 def cmd_sweep(config: dict) -> None:
     """Bias-voltage or plate-separation sweep table."""
     sections = effective_sections(config, "sweep")
@@ -265,9 +285,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.override, args.material, args.out)
-        # Overflow and 0/0 surface as non-finite cells or ArithmeticError, not warnings.
-        with np.errstate(all="ignore"):
-            _COMMANDS[args.command](config)
+        # The table commands silence numpy's warnings themselves (`_table_command`).
+        _COMMANDS[args.command](config)
     except NumericalError as exc:
         print(f"qpamp: error: {exc}", file=sys.stderr)
         return 3

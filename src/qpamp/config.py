@@ -99,12 +99,12 @@ class _Key(NamedTuple):
     positive: bool = False
 
 
-# Display-unit-to-SI scale for the sweep bounds, keyed by swept variable.
-_SWEEP_SCALE = {
-    "bias_voltage": 1e-3,
-    "bias_field": 1e6,
-    "plate_separation": 1e-9,
-    "pump_ratio": 1.0,
+# Display-unit-to-SI scale and display unit of the sweep bounds, keyed by swept variable.
+_SWEEP_UNITS = {
+    "bias_voltage": (1e-3, "mV"),
+    "bias_field": (1e6, "V/um"),
+    "plate_separation": (1e-9, "nm"),
+    "pump_ratio": (1.0, ""),
 }
 
 # Section -> key -> meaning, in echo order.  The ``[sweep]`` section is
@@ -136,7 +136,7 @@ _KEYS = {
         "theta_rad": _Key(_parse_float, 0.0, "theta"),
     },
     "sweep": {
-        "variable": _Key(_choice(*_SWEEP_SCALE), MISSING),
+        "variable": _Key(_choice(*_SWEEP_UNITS), MISSING),
         "min": _Key(_parse_float, MISSING),
         "max": _Key(_parse_float, MISSING),
         "count": _Key(_parse_int, MISSING),
@@ -295,15 +295,30 @@ def effective_sections(config: dict, command: str) -> dict:
             else:
                 ratios = _DEFAULT_GAIN_RATIOS
             sections["gain"]["xi_ratio"] = ratios
-        # The bias window for the working-point search.
+        # The bias window for the working-point search, even for a one-point [sweep].
         if sweep is None or sweep["variable"] != "bias_voltage":
             sections["sweep"] = _resolve("sweep", _DEFAULT_BIAS_SWEEP)
+        lo, hi = sections["sweep"]["min"], sections["sweep"]["max"]
+        if not lo < hi:
+            raise ConfigurationError(
+                f"[sweep] min, max: search range is empty: min = {lo} mV must be < max = {hi} mV"
+            )
     else:
         raise ValueError(f"unknown command {command!r}")
 
     if sections["gain"]["xi_ratio"] is None:
         sections["gain"]["xi_ratio"] = _DEFAULT_GAIN_RATIOS
     return sections
+
+
+def _to_si(section: str, key: str, value: float, scale: float) -> float:
+    scaled = value * scale
+    if math.isinf(scaled) or (scaled == 0.0) != (value == 0.0):
+        # Finite in display units, but over- or underflows in SI.
+        raise ConfigurationError(
+            f"[{section}] {key}: {value} is out of floating-point range in SI units"
+        )
+    return scaled
 
 
 def _chain_fields(sections: dict, section: str) -> dict:
@@ -313,31 +328,44 @@ def _chain_fields(sections: dict, section: str) -> dict:
         if spec.field is not None:
             value = sections[section][key]
             if value is not None:
-                scaled = value * spec.scale
-                if math.isinf(scaled) or (scaled == 0.0) != (value == 0.0):
-                    # Finite in display units, but over- or underflows in SI.
-                    raise ConfigurationError(
-                        f"[{section}] {key}: {value} is out of floating-point range in SI units"
-                    )
-                value = scaled
+                value = _to_si(section, key, value, spec.scale)
             values[spec.field] = value
     return values
 
 
+def _restated(exc: ConfigurationError, section: str, shown: dict) -> ConfigurationError:
+    """A chain object's rule in config terms.
+
+    ``shown`` maps each field to its key and its value in display units.  Rules quote the
+    fields they are about: a rule on one field reads ``[section] key: rule, got value``, a
+    rule on several names each key with its value, and a rule that quotes none is kept.
+    """
+    text = str(exc)
+    named = [(repr(field), *shown[field]) for field in shown if repr(field) in text]
+    if not named:
+        return exc
+    if len(named) == 1:
+        quoted, key, value = named[0]
+        rule = text.partition(quoted + " ")[2]
+        return ConfigurationError(f"[{section}] {key}: {rule}, got {value}")
+    for quoted, key, value in named:
+        text = text.replace(quoted, f"{key} = {value}")
+    keys = ", ".join(key for _, key, _ in named)
+    return ConfigurationError(f"[{section}] {keys}: {text}")
+
+
 def _build(cls, sections: dict, section: str, **extra):
-    """The chain object of one section; a rule on one field is reported under its key."""
+    """The chain object of one section; a rule on its fields is reported under their keys."""
     values = _chain_fields(sections, section)
     try:
         return cls(**values, **extra)
     except ConfigurationError as exc:
-        # Per-field rules read "... parameter 'field' must be ..."; cross-field ones name no field.
-        for key, spec in _KEYS[section].items():
-            rule = str(exc).partition(f"{spec.field!r} ")[2] if spec.field else ""
-            if rule:
-                raise ConfigurationError(
-                    f"[{section}] {key}: {rule}, got {sections[section][key]}"
-                ) from None
-        raise
+        shown = {
+            spec.field: (key, sections[section][key])
+            for key, spec in _KEYS[section].items()
+            if spec.field is not None
+        }
+        raise _restated(exc, section, shown) from None
 
 
 def material_params(sections: dict) -> MaterialParams:
@@ -358,14 +386,18 @@ def drive_spec(sections: dict) -> DriveSpec:
 
 def sweep_spec(sections: dict) -> SweepSpec:
     s = sections["sweep"]
-    scale = _SWEEP_SCALE[s["variable"]]
-    return SweepSpec(
-        variable=s["variable"],
-        start=s["min"] * scale,
-        stop=s["max"] * scale,
-        count=s["count"],
-        spacing=s["spacing"],
-    )
+    scale, unit = _SWEEP_UNITS[s["variable"]]
+    start = _to_si("sweep", "min", s["min"], scale)
+    stop = _to_si("sweep", "max", s["max"], scale)
+    try:
+        return SweepSpec(s["variable"], start, stop, s["count"], s["spacing"])
+    except ConfigurationError as exc:
+        shown = {
+            "start": ("min", f"{s['min']} {unit}".rstrip()),
+            "stop": ("max", f"{s['max']} {unit}".rstrip()),
+            "count": ("count", s["count"]),
+        }
+        raise _restated(exc, "sweep", shown) from None
 
 
 def _format_value(value) -> str:

@@ -72,9 +72,9 @@ class DriveSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.v_ac < math.inf:
-            raise ConfigurationError(f"v_ac must be finite and non-negative, got {self.v_ac!r}")
+            raise ConfigurationError("drive parameter 'v_ac' must be finite and non-negative")
         if not math.isfinite(self.theta):
-            raise ConfigurationError(f"theta must be finite, got {self.theta!r}")
+            raise ConfigurationError("drive parameter 'theta' must be finite")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from .amplifier import _above_threshold
 from .errors import ConfigurationError, NumericalError
 from .material import MaterialParams, dielectric_response
@@ -74,17 +72,17 @@ class SweepSpec:
         if self.spacing not in ("linear", "log"):
             raise ConfigurationError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.count < 1:
-            raise ConfigurationError("sweep count must be >= 1")
+            raise ConfigurationError("sweep 'count' must be >= 1")
         if self.count > 1 and not self.start < self.stop:
-            raise ConfigurationError(
-                f"sweep range is empty: start {self.start} must be < stop {self.stop}"
-            )
+            raise ConfigurationError("range is empty: 'start' must be < 'stop'")
         if self.spacing == "log" and self.start <= 0.0:
-            raise ConfigurationError("log spacing requires start > 0")
+            raise ConfigurationError("sweep 'start' must be > 0 for log spacing")
 
     def points(self) -> list[float]:
         if self.count == 1:
             return [self.start]
+        import numpy as np
+
         if self.spacing == "log":
             return [float(x) for x in np.geomspace(self.start, self.stop, self.count)]
         return [float(x) for x in np.linspace(self.start, self.stop, self.count)]
@@ -145,6 +143,8 @@ def bias_sweep(
     if spec.variable != "bias_voltage":
         raise ConfigurationError(f"bias_sweep needs variable 'bias_voltage', got {spec.variable!r}")
     _check_workers(workers)
+    import numpy as np
+
     v0 = np.array(spec.points())
     point = operating_point(v0, drive, design, circuit)
     xi = np.abs(point.xi)
@@ -185,6 +185,8 @@ def dielectric_sweep(
             f"dielectric_sweep needs variable 'bias_field', got {spec.variable!r}"
         )
     _check_workers(workers)
+    import numpy as np
+
     fields = np.array(spec.points())
     resp = dielectric_response(fields, material)
     columns = {
@@ -243,13 +245,14 @@ def maximize_3wm(
     def objective(v0: float) -> float:
         return abs(three_wave_strength(v0, drive, design, circuit))
 
-    # Python floats keep each call in float arithmetic, not numpy scalars.
-    grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
+    # The grid points of np.linspace(lo, hi, _GRID_POINTS), as Python floats.
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    grid = [lo + i * step for i in range(_GRID_POINTS - 1)] + [hi]
     values = [objective(v) for v in grid]
-    # argmax picks the first NaN, and |xi| >= 0: a finite maximum means a finite grid.
-    i_best = int(np.argmax(values))
-    if not math.isfinite(values[i_best]):
+    # max() passes over a NaN, so the grid is checked first; ties keep the first maximum.
+    if not all(map(math.isfinite, values)):
         raise NumericalError(f"three-wave strength is not finite on the search grid {v_range}")
+    i_best = max(range(_GRID_POINTS), key=values.__getitem__)
     if values[i_best] == 0.0:
         raise NumericalError("three-wave strength is flat over the search range")
     a = grid[max(i_best - 1, 0)]

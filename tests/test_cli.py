@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpamp
-from qpamp import permittivity, builtin_material
+from qpamp import ConfigurationError, permittivity, builtin_material
 from qpamp.amplifier import GridSpec, profile_from_rates, rate_budget, reflection
 from qpamp.cli import main
 from qpamp.config import (
@@ -199,6 +199,60 @@ class TestConfigDiagnostics:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"qpamp: config error: [material] {key}: {rule}, got -1.0"], err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_drive_amplitude_names_its_key(self, tmp_path, capsys):
+        rc = main(["design", "--out", str(tmp_path), "--override", "drive.v_ac_mv=-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["qpamp: config error: [drive] v_ac_mv: must be finite and non-negative, "
+                       "got -1.0"], err
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_drive_phase_names_its_key(self):
+        # The parser already refuses 'nan'; the chain-object rule is reported the same way.
+        sections = {"drive": {"v_ac_mv": 1.0, "theta_rad": math.nan}}
+        with pytest.raises(ConfigurationError) as excinfo:
+            drive_spec(sections)
+        assert str(excinfo.value) == "[drive] theta_rad: must be finite, got nan"
+
+    @pytest.mark.parametrize(
+        "command, sweep, message",
+        [
+            (
+                "sweep",
+                ("bias_voltage", "5", "1", "5", "linear"),
+                "[sweep] min, max: range is empty: min = 5.0 mV must be < max = 1.0 mV",
+            ),
+            (
+                "design",
+                ("bias_voltage", "5", "1", "1", "linear"),
+                "[sweep] min, max: search range is empty: min = 5.0 mV must be < max = 1.0 mV",
+            ),
+            (
+                "sweep",
+                ("bias_voltage", "0", "1", "0", "linear"),
+                "[sweep] count: must be >= 1, got 0",
+            ),
+            (
+                "sweep",
+                ("plate_separation", "0", "1000", "3", "log"),
+                "[sweep] min: must be > 0 for log spacing, got 0.0 nm",
+            ),
+            (
+                "material",
+                ("bias_field", "1e305", "1e306", "3", "linear"),
+                "[sweep] min: 1e+305 is out of floating-point range in SI units",
+            ),
+        ],
+    )
+    def test_sweep_rule_names_its_keys_in_display_units(
+        self, tmp_path, capsys, command, sweep, message
+    ):
+        keys = ("variable", "min", "max", "count", "spacing")
+        overrides = [f"--override=sweep.{key}={value}" for key, value in zip(keys, sweep)]
+        assert main([command, "--out", str(tmp_path), *overrides]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"qpamp: config error: {message}"]
         assert not any(tmp_path.iterdir())
 
     def test_even_gain_count_rejected(self, tmp_path, capsys):
@@ -555,30 +609,51 @@ class TestOutputContract:
         assert excinfo.value.code == 0
         assert "qpamp" in capsys.readouterr().out
 
-    def test_commands_run_without_scipy(self, tmp_path):
-        # A fresh interpreter: neither the import nor any command loads scipy.
+    @staticmethod
+    def _loaded_after(package, steps, out_dir):
+        """The modules of ``package`` loaded after each step, run in turn in a fresh interpreter.
+
+        A step is a module name to import, or a CLI argument list run with ``--out out_dir``.
+        """
         script = (
-            "import json, sys\n"
-            "import qpamp.cli\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "seen = {'import': scipy_modules()}\n"
-            "for command in ('material', 'design', 'gain', 'sweep'):\n"
-            "    rc = qpamp.cli.main([command, '--out', sys.argv[1]])\n"
-            "    seen[command] = scipy_modules() if rc == 0 else f'exit {rc}'\n"
+            "import importlib, json, sys\n"
+            "package, out, steps = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+            "seen = {}\n"
+            "for step in steps:\n"
+            "    if isinstance(step, str):\n"
+            "        importlib.import_module(step)\n"
+            "        name = step\n"
+            "    else:\n"
+            "        name = ' '.join(step)\n"
+            "        if importlib.import_module('qpamp.cli').main([*step, '--out', out]) != 0:\n"
+            "            seen[name] = 'failed'\n"
+            "            continue\n"
+            "    seen[name] = sorted(m for m in sys.modules if m.split('.')[0] == package)\n"
             "print(json.dumps(seen))\n"
         )
         src = str(Path(qpamp.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
+            [sys.executable, "-c", script, package, str(out_dir), json.dumps(steps)],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0, result.stderr
-        seen = json.loads(result.stdout.splitlines()[-1])
-        assert seen == {k: [] for k in ("import", "material", "design", "gain", "sweep")}
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # Neither the import nor any command loads scipy.
+        steps = ["qpamp.cli", ["material"], ["design"], ["gain"], ["sweep"]]
+        seen = self._loaded_after("scipy", steps, tmp_path)
+        assert seen == {k: [] for k in ("qpamp.cli", "material", "design", "gain", "sweep")}
+
+    def test_import_and_design_run_without_numpy(self, tmp_path):
+        # The design chain builds no array; only the table commands load numpy.
+        designs = [["design", "--material", "sto"], ["design", "--material", "kto"]]
+        seen = self._loaded_after("numpy", ["qpamp", "qpamp.cli", *designs], tmp_path)
+        names = ("qpamp", "qpamp.cli", "design --material sto", "design --material kto")
+        assert seen == {k: [] for k in names}
 
     def test_console_script_is_wired(self, tmp_path):
         src = str(Path(qpamp.__file__).resolve().parent.parent)

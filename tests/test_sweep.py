@@ -207,6 +207,41 @@ class TestMaximize:
         with pytest.raises(ConfigurationError):
             maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE, v_range=(0.1, 0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_after_the_grid_maximum(self, monkeypatch, bad):
+        # max() passes over a NaN, so a peak before it must not hide it.
+        def strength(v0, drive, design, circuit):
+            return 1.0 - (v0 - 0.1) ** 2 if v0 < 0.2 else bad
+
+        monkeypatch.setattr(qpamp.sweep, "three_wave_strength", strength)
+        with pytest.raises(NumericalError, match="not finite"):
+            maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE)
+
+    @pytest.mark.parametrize(
+        "v_range", [(0.0, 0.25), (-0.25, 0.0), (1.3e-3, 7.7e-2), (-0.11, 0.37), (2.0, 2.0 + 3e-9)]
+    )
+    def test_grid_is_linspace(self, monkeypatch, v_range):
+        seen = []
+
+        def strength(v0, drive, design, circuit):
+            seen.append(v0)
+            return 1.0
+
+        monkeypatch.setattr(qpamp.sweep, "three_wave_strength", strength)
+        maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE, v_range=v_range)
+        assert seen[:241] == np.linspace(*v_range, 241).tolist()
+
+    def test_tie_keeps_the_first_grid_maximum(self, monkeypatch):
+        grid = np.linspace(0.0, 0.25, 241).tolist()
+        peaks = {grid[60], grid[180]}
+
+        def strength(v0, drive, design, circuit):
+            return 1.0 if v0 in peaks else 0.5
+
+        monkeypatch.setattr(qpamp.sweep, "three_wave_strength", strength)
+        best = maximize_3wm(STO_DESIGN, CIRCUIT, DRIVE)
+        assert (best.v0_max, best.xi_max) == (grid[60], 1.0)
+
 
 class TestGeometrySweep:
     def test_trends_over_decades(self):
