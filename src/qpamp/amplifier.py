@@ -95,13 +95,11 @@ class GridSpec:
     half_span_kappa: float = 4.0
 
     def __post_init__(self):
+        # An odd count puts a sample on the pumped center, where the 3-dB width is measured.
         if self.count < 3 or self.count % 2 == 0:
-            raise ValueError(
-                f"grid count must be odd and at least 3 (a sample on the pumped center), "
-                f"got {self.count}"
-            )
-        if not self.half_span_kappa > 0.0:
-            raise ValueError("half_span_kappa must be positive")
+            raise ConfigurationError("grid 'count' must be odd and at least 3")
+        if not 0.0 < self.half_span_kappa < math.inf:
+            raise ConfigurationError("grid 'half_span_kappa' must be finite and positive")
 
 
 @dataclass(frozen=True)

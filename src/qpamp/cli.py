@@ -28,12 +28,13 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .amplifier import GridSpec, RateBudget, compression_estimate, profile_from_rates
+from .amplifier import RateBudget, compression_estimate, profile_from_rates
 from .config import (
     circuit_params,
     drive_spec,
     echo_lines,
     effective_sections,
+    gain_grid,
     load_config,
     material_params,
     sweep_spec,
@@ -160,6 +161,8 @@ def cmd_design(config: dict) -> None:
     """Working-point search and full design report."""
     sections = effective_sections(config, "design")
     best, point, rates = _working_point(sections)
+    if not 0.0 < point.k_eff < math.inf:  # K_eff ~ v_zpf**4 can under- or overflow
+        raise NumericalError(f"K_eff = {point.k_eff} rad/s is not finite and positive")
     comp = compression_estimate(point.k_eff, rates)
     xi = abs(point.xi)
 
@@ -203,10 +206,7 @@ def cmd_gain(config: dict) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     sections = effective_sections(config, "gain")
     rates = _working_point(sections)[2]
-    grid = GridSpec(
-        count=sections["gain"]["count"],
-        half_span_kappa=sections["gain"]["half_span_kappa"],
-    )
+    grid = gain_grid(sections)
 
     rows = []
     for ratio in sections["gain"]["xi_ratio"]:

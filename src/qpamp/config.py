@@ -21,6 +21,7 @@ import math
 from dataclasses import MISSING, fields
 from typing import Callable, NamedTuple
 
+from .amplifier import GridSpec
 from .errors import ConfigurationError
 from .material import MaterialParams, builtin_material
 from .resonator import CircuitParams, DriveSpec
@@ -37,6 +38,7 @@ __all__ = [
     "circuit_params",
     "drive_spec",
     "sweep_spec",
+    "gain_grid",
 ]
 
 
@@ -89,14 +91,14 @@ class _Key(NamedTuple):
     A ``MISSING`` default makes the key required and a None default leaves it
     unset.  ``[material]`` numbers default to the named crystal, or for
     ``custom`` to the `MaterialParams` field defaults (required where the
-    field has none).  ``positive`` refuses a given value <= 0.
+    field has none).  The rules on a value belong to the chain object that
+    takes it; `load_config` builds those objects to check them.
     """
 
     parse: Callable[[str, str, str], object]
     default: object = None
     field: str | None = None
     scale: float = 1.0
-    positive: bool = False
 
 
 # Display-unit-to-SI scale and display unit of the sweep bounds, keyed by swept variable.
@@ -124,12 +126,12 @@ _KEYS = {
         "temperature_k": _Key(_parse_float, field="temperature"),
     },
     "geometry": {
-        "area_um2": _Key(_parse_float, 16.0, "plate_area", 1e-12, positive=True),
-        "thickness_nm": _Key(_parse_float, 200.0, "thickness", 1e-9, positive=True),
+        "area_um2": _Key(_parse_float, 16.0, "plate_area", 1e-12),
+        "thickness_nm": _Key(_parse_float, 200.0, "thickness", 1e-9),
     },
     "circuit": {
-        "inductance_nh": _Key(_parse_float, 0.5, "inductance", 1e-9, positive=True),
-        "q_ext": _Key(_parse_float, 100.0, "q_ext", positive=True),
+        "inductance_nh": _Key(_parse_float, 0.5, "inductance", 1e-9),
+        "q_ext": _Key(_parse_float, 100.0, "q_ext"),
     },
     "drive": {
         "v_ac_mv": _Key(_parse_float, 1.0, "v_ac", 1e-3),
@@ -144,8 +146,8 @@ _KEYS = {
     },
     "gain": {
         "xi_ratio": _Key(_parse_ratio_list),
-        "count": _Key(_parse_int, 801),
-        "half_span_kappa": _Key(_parse_float, 4.0),
+        "count": _Key(_parse_int, 801, "count"),
+        "half_span_kappa": _Key(_parse_float, 4.0, "half_span_kappa"),
     },
     "output": {
         "path": _Key(_parse_text, "out"),
@@ -216,8 +218,6 @@ def _resolve(section: str, entries: dict) -> dict:
     for key, spec in _KEYS[section].items():
         if key in entries:
             value = spec.parse(section, key, entries[key])
-            if spec.positive and not value > 0.0:
-                raise ConfigurationError(f"[{section}] {key}: must be positive, got {value}")
         else:
             value = defaults.get(key, spec.default)
             if value is MISSING:
@@ -257,12 +257,12 @@ def load_config(
         else None
         for section in _KEYS
     }
-    # Fail fast on inconsistent physics parameters.
-    material_params(sections)
-    count = sections["gain"]["count"]
-    if count < 3 or count % 2 == 0:
-        # The gain grid needs a sample on the pumped center for its 3-dB width.
-        raise ConfigurationError(f"[gain] count: must be odd and at least 3, got {count}")
+    # Building the chain objects checks their rules here, for every command alike.  The
+    # [sweep] section is left to the command, which decides what it means.
+    varactor_design(sections)
+    circuit_params(sections)
+    drive_spec(sections)
+    gain_grid(sections)
     return sections
 
 
@@ -327,7 +327,8 @@ def _chain_fields(sections: dict, section: str) -> dict:
     for key, spec in _KEYS[section].items():
         if spec.field is not None:
             value = sections[section][key]
-            if value is not None:
+            # Unscaled values pass as parsed, so an integer count stays an integer.
+            if value is not None and spec.scale != 1.0:
                 value = _to_si(section, key, value, spec.scale)
             values[spec.field] = value
     return values
@@ -382,6 +383,10 @@ def circuit_params(sections: dict) -> CircuitParams:
 
 def drive_spec(sections: dict) -> DriveSpec:
     return _build(DriveSpec, sections, "drive")
+
+
+def gain_grid(sections: dict) -> GridSpec:
+    return _build(GridSpec, sections, "gain")
 
 
 def sweep_spec(sections: dict) -> SweepSpec:

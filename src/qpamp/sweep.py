@@ -235,8 +235,9 @@ def maximize_3wm(
     """Find the bias that maximises |xi|: coarse grid scan + golden-section refine.
 
     The grid has 241 points; the golden-section stage narrows the best
-    bracket down to 1 microvolt.  A flat objective (e.g. zero pump
-    amplitude) or a non-finite |xi| on the grid raises `NumericalError`.
+    bracket down to 1 microvolt.  A flat objective (zero pump amplitude, or
+    a |xi| that underflows to zero for the design) or a non-finite |xi| on
+    the grid raises `NumericalError`.
     """
     lo, hi = v_range
     if not lo < hi:
@@ -254,6 +255,8 @@ def maximize_3wm(
         raise NumericalError(f"three-wave strength is not finite on the search grid {v_range}")
     i_best = max(range(_GRID_POINTS), key=values.__getitem__)
     if values[i_best] == 0.0:
+        if drive.v_ac > 0.0:
+            raise NumericalError(f"|xi| underflows to zero for this design on the grid {v_range}")
         raise NumericalError("three-wave strength is flat over the search range")
     a = grid[max(i_best - 1, 0)]
     b = grid[min(i_best + 1, len(grid) - 1)]

@@ -82,12 +82,8 @@ class ChargePoint:
     the capacitive energy with respect to charge [V/C, V/C^2, V/C^3].
     """
 
-    voltage: float
-    bias_field: float
     charge: float
     capacitance: float
-    dc_dv: float
-    d2c_dv2: float
     energy: float
     u2: float
     u3: float
@@ -223,12 +219,8 @@ def energy_and_derivatives(voltage: float, design: VaractorDesign) -> ChargePoin
     u3 = -c1 / c**3
     u4 = (-c2 + 3.0 * c1 * c1 / c) / c**4
     return ChargePoint(
-        voltage=voltage,
-        bias_field=design.bias_field(voltage),
         charge=charge(voltage, design),
         capacitance=c,
-        dc_dv=c1,
-        d2c_dv2=c2,
         energy=energy(voltage, design),
         u2=u2,
         u3=u3,

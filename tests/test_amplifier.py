@@ -257,12 +257,15 @@ class TestGainProfile:
             gain_profile(9.3e-3, DriveSpec(1e-3), STO_DESIGN, CIRCUIT)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(count=1)
-        with pytest.raises(ValueError):
-            GridSpec(count=800)  # no sample on the pumped center
-        with pytest.raises(ValueError):
-            GridSpec(half_span_kappa=0.0)
+        # Each rule quotes its field, so that the config layer can name the [gain] key.
+        for kwargs, field in (
+            ({"count": 1}, "count"),
+            ({"count": 800}, "count"),  # no sample on the pumped center
+            ({"half_span_kappa": 0.0}, "half_span_kappa"),
+            ({"half_span_kappa": math.inf}, "half_span_kappa"),  # an all-NaN profile
+        ):
+            with pytest.raises(ConfigurationError, match=f"'{field}'"):
+                GridSpec(**kwargs)
 
 
 class TestCompression:

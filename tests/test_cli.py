@@ -545,6 +545,10 @@ NUMERICAL_FAILURES = {
     # kappa_int = omega0 tan(delta) overflows before the rate budget is built.
     "kappa_int_overflow_design": ["design", "--override", "material.loss_a2=1e308"],
     "kappa_int_overflow_gain": ["gain", "--override", "material.loss_a2=1e308"],
+    # v_zpf**4 underflows, so K_eff is 0 at the working point.
+    "k_eff_underflow": ["design", "--override", "circuit.inductance_nh=1e300"],
+    # v_zpf**2 underflows, so |xi| is 0 on the whole search grid.
+    "xi_underflow": ["design", "--override", "geometry.area_um2=1e300"],
 }
 
 
@@ -553,6 +557,35 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("qpamp: error:"), err
+    assert not any(tmp_path.iterdir())
+
+
+def test_k_eff_underflow_fails_only_the_design(tmp_path, capsys):
+    override = ["--override", "circuit.inductance_nh=1e300"]
+    assert main(["design", "--out", str(tmp_path / "design"), *override]) == 3
+    assert "K_eff" in capsys.readouterr().err
+    # Neither the gain curves nor the sweep table read K_eff.
+    for command in ("gain", "sweep"):
+        assert main([command, "--out", str(tmp_path / command), *override]) == 0
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "drive.v_ac_mv=-1",
+        "gain.half_span_kappa=-1",
+        "gain.count=800",
+        "geometry.area_um2=-1",
+        "circuit.q_ext=0",
+    ],
+)
+@pytest.mark.parametrize("command", ["material", "design", "gain", "sweep"])
+def test_every_command_checks_every_section(tmp_path, capsys, command, override):
+    # A section's rules do not depend on whether the command reads it.
+    assert main([command, "--out", str(tmp_path), "--override", override]) == 2
+    section, key = override.partition("=")[0].split(".")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"[{section}] {key}" in err[0], err
     assert not any(tmp_path.iterdir())
 
 

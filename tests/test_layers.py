@@ -69,3 +69,17 @@ def test_public_functions_have_a_use_outside_the_tests(layer):
         and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == [], f"qpamp.{layer} exports functions only tests use: {unused}"
+
+
+def test_package_reexports_each_layer_once():
+    import qpamp
+
+    expected = ["__version__", "ConfigurationError", "NumericalError", "ThresholdError", "load_config"]
+    for layer in ("material", "varactor", "resonator", "amplifier", "sweep"):
+        expected += importlib.import_module(f"qpamp.{layer}").__all__
+    assert len(set(qpamp.__all__)) == len(qpamp.__all__)
+    assert qpamp.__all__ == expected
+    namespace = {}
+    exec("from qpamp import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(expected)

@@ -195,8 +195,14 @@ class TestMaximize:
         assert lower.on_window_edge and lower.v0_max == pytest.approx(20e-3, abs=1e-6)
 
     def test_flat_objective(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="flat over the search range"):
             maximize_3wm(STO_DESIGN, CIRCUIT, DriveSpec(v_ac=0.0))
+
+    def test_underflowing_objective(self):
+        # v_zpf**2 underflows on a huge plate, so |xi| is exactly 0 at every grid point.
+        huge = replace(STO_DESIGN, plate_area=1e288)
+        with pytest.raises(NumericalError, match="underflows to zero"):
+            maximize_3wm(huge, CIRCUIT, DRIVE)
 
     def test_non_finite_objective(self):
         # Near 1e308 V the normalised field overflows and |xi| is NaN.

@@ -235,7 +235,6 @@ class TestEnergyExpansion:
 
     def test_fields(self):
         point = energy_and_derivatives(9.3e-3, STO_DESIGN)
-        assert point.bias_field == pytest.approx(9.3e-3 / 200e-9, rel=1e-15)
         assert point.charge == pytest.approx(charge(9.3e-3, STO_DESIGN), rel=1e-12)
         assert point.energy == pytest.approx(energy(9.3e-3, STO_DESIGN), rel=1e-12)
 
