@@ -29,17 +29,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .amplifier import RateBudget, compression_estimate, profile_from_rates
-from .config import (
-    circuit_params,
-    drive_spec,
-    echo_lines,
-    effective_sections,
-    gain_grid,
-    load_config,
-    material_params,
-    sweep_spec,
-    varactor_design,
-)
+from .config import Run, command_run, echo_lines, load_config
 from .errors import ConfigurationError, NumericalError
 from .resonator import operating_point
 from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
@@ -60,8 +50,8 @@ def _header(command: str, sections: dict) -> list[str]:
     return lines
 
 
-def _out_dir(config: dict) -> Path:
-    path = Path(config["output"]["path"])
+def _out_dir(run: Run) -> Path:
+    path = Path(run.sections["output"]["path"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -94,21 +84,20 @@ def _table_command(command):
     """
 
     @functools.wraps(command)
-    def run(config: dict) -> None:
+    def wrapped(run: Run) -> None:
         import numpy as np
 
         with np.errstate(all="ignore"):
-            command(config)
+            command(run)
 
-    return run
+    return wrapped
 
 
 @_table_command
-def cmd_material(config: dict) -> None:
+def cmd_material(run: Run) -> None:
     """Dielectric response table over the configured bias-field range."""
-    sections = effective_sections(config, "material")
-    result = dielectric_sweep(material_params(sections), sweep_spec(sections))
-    _write_csv(_out_dir(config) / "material.csv", "material", sections, result.columns, result.rows)
+    result = dielectric_sweep(run.design.material, run.sweep)
+    _write_csv(_out_dir(run) / "material.csv", "material", run.sections, result.columns, result.rows)
 
 
 # (kv key, report label, display unit) rows of the design report.
@@ -132,12 +121,9 @@ _REPORT_FIELDS = (
 )
 
 
-def _working_point(sections: dict):
+def _working_point(run: Run):
     """(optimum, working-point record, rate budget) of the configured bias search window."""
-    design = varactor_design(sections)
-    circuit = circuit_params(sections)
-    drive = drive_spec(sections)
-    window = sweep_spec(sections)
+    design, circuit, drive, window = run.design, run.circuit, run.drive, run.sweep
     best = maximize_3wm(design, circuit, drive, v_range=(window.start, window.stop))
     if best.on_window_edge:
         print(
@@ -157,10 +143,10 @@ def _working_point(sections: dict):
     return best, point, RateBudget(*rates)
 
 
-def cmd_design(config: dict) -> None:
+def cmd_design(run: Run) -> None:
     """Working-point search and full design report."""
-    sections = effective_sections(config, "design")
-    best, point, rates = _working_point(sections)
+    sections = run.sections
+    best, point, rates = _working_point(run)
     if not 0.0 < point.k_eff < math.inf:  # K_eff ~ v_zpf**4 can under- or overflow
         raise NumericalError(f"K_eff = {point.k_eff} rad/s is not finite and positive")
     comp = compression_estimate(point.k_eff, rates)
@@ -190,7 +176,7 @@ def cmd_design(config: dict) -> None:
         f"{label:<50}{values[key]:.6g}{' ' + unit if unit else ''}"
         for key, label, unit in _REPORT_FIELDS
     )
-    out = _out_dir(config)
+    out = _out_dir(run)
     _write_lines(out / "design.txt", _header("design", sections) + report)
     kv = [f"material = {sections['material']['name']}"]
     kv.extend(f"{key} = {_fmt(values[key])}" for key, _, _ in _REPORT_FIELDS)
@@ -202,42 +188,33 @@ def cmd_design(config: dict) -> None:
 
 
 @_table_command
-def cmd_gain(config: dict) -> None:
+def cmd_gain(run: Run) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
-    sections = effective_sections(config, "gain")
-    rates = _working_point(sections)[2]
-    grid = gain_grid(sections)
+    rates = _working_point(run)[2]
 
     rows = []
-    for ratio in sections["gain"]["xi_ratio"]:
-        profile = profile_from_rates(rates, ratio * rates.kappa / 2.0, grid)
+    for ratio in run.sections["gain"]["xi_ratio"]:
+        profile = profile_from_rates(rates, ratio * rates.kappa / 2.0, run.grid)
         gain_db = profile.gain_db
         for i, omega in enumerate(profile.frequencies):
             refl = profile.reflection[i]
             rows.append((ratio, omega / _TWO_PI / 1e9, gain_db[i], refl.real, refl.imag))
 
     _write_csv(
-        _out_dir(config) / "gain.csv",
+        _out_dir(run) / "gain.csv",
         "gain",
-        sections,
+        run.sections,
         ("xi_ratio", "freq_ghz", "gain_db", "re_R", "im_R"),
         rows,
     )
 
 
 @_table_command
-def cmd_sweep(config: dict) -> None:
+def cmd_sweep(run: Run) -> None:
     """Bias-voltage or plate-separation sweep table."""
-    sections = effective_sections(config, "sweep")
-    spec = sweep_spec(sections)
-    design = varactor_design(sections)
-    circuit = circuit_params(sections)
-    drive = drive_spec(sections)
-    if spec.variable == "bias_voltage":
-        result = bias_sweep(spec, design, circuit, drive)
-    else:
-        result = geometry_sweep(spec, design, circuit, drive)
-    _write_csv(_out_dir(config) / "sweep.csv", "sweep", sections, result.columns, result.rows)
+    tabulate = bias_sweep if run.sweep.variable == "bias_voltage" else geometry_sweep
+    result = tabulate(run.sweep, run.design, run.circuit, run.drive)
+    _write_csv(_out_dir(run) / "sweep.csv", "sweep", run.sections, result.columns, result.rows)
 
 
 _COMMANDS = {
@@ -286,7 +263,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.override, args.material, args.out)
         # The table commands silence numpy's warnings themselves (`_table_command`).
-        _COMMANDS[args.command](config)
+        _COMMANDS[args.command](command_run(config, args.command))
     except NumericalError as exc:
         print(f"qpamp: error: {exc}", file=sys.stderr)
         return 3

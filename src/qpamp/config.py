@@ -7,11 +7,13 @@ swept variable: mV for ``bias_voltage``, V/um for ``bias_field``, nm for
 ``plate_separation``, and dimensionless for ``pump_ratio``.
 
 Each key's parser, default, SI scale and chain-object field are written
-once, in `_KEYS`; the echo order, the unknown-key check and the builders of
-the chain objects all read that table.  Every command resolves the
+once, in `_KEYS`; the echo order, the unknown-key check and the building of
+the chain objects all read that table.  `load_config` resolves the
 configuration fully (defaults applied, material parameters expanded) and
-echoes the result into its output header, so any output file doubles as a
-reproducible configuration.
+checks every section; `command_run` then settles, from one table of
+commands, which ``[sweep]`` a command runs on, and builds the chain objects
+it runs on.  Every command echoes its resolved sections into its output
+header, so any output file doubles as a reproducible configuration.
 """
 
 from __future__ import annotations
@@ -28,18 +30,7 @@ from .resonator import CircuitParams, DriveSpec
 from .sweep import SweepSpec
 from .varactor import VaractorDesign
 
-__all__ = [
-    "load_config",
-    "effective_sections",
-    "echo_lines",
-    "config_text_from_output",
-    "material_params",
-    "varactor_design",
-    "circuit_params",
-    "drive_spec",
-    "sweep_spec",
-    "gain_grid",
-]
+__all__ = ["load_config", "Run", "command_run", "echo_lines", "config_text_from_output"]
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -92,7 +83,8 @@ class _Key(NamedTuple):
     unset.  ``[material]`` numbers default to the named crystal, or for
     ``custom`` to the `MaterialParams` field defaults (required where the
     field has none).  The rules on a value belong to the chain object that
-    takes it; `load_config` builds those objects to check them.
+    takes it; `load_config` builds those objects to check them, and
+    `command_run` builds the ones a command runs on.
     """
 
     parse: Callable[[str, str, str], object]
@@ -155,10 +147,17 @@ _KEYS = {
     },
 }
 
-# The [sweep] sections the commands fall back to, as config entries.
-_DEFAULT_BIAS_SWEEP = {"variable": "bias_voltage", "min": "0", "max": "250", "count": "201"}
-_DEFAULT_FIELD_SWEEP = {"variable": "bias_field", "min": "0", "max": "5", "count": "201"}
 _DEFAULT_GAIN_RATIOS = (0.5, 0.9, 0.99)
+_DEFAULT_FIELD_SWEEP = {"variable": "bias_field", "min": "0", "max": "5", "count": "201"}
+_DEFAULT_BIAS_SWEEP = {"variable": "bias_voltage", "min": "0", "max": "250", "count": "201"}
+# Command -> (the [sweep] variables it reads, the [sweep] it runs on otherwise, as
+# config entries).
+_COMMAND_SWEEPS = {
+    "material": (("bias_field",), _DEFAULT_FIELD_SWEEP),
+    "design": (("bias_voltage",), _DEFAULT_BIAS_SWEEP),
+    "gain": (("bias_voltage",), _DEFAULT_BIAS_SWEEP),
+    "sweep": (("bias_voltage", "plate_separation"), _DEFAULT_BIAS_SWEEP),
+}
 
 
 def _material_defaults(name: str) -> dict:
@@ -237,8 +236,8 @@ def load_config(
     """Read, override, validate and resolve a tool configuration.
 
     Returns section -> key -> typed value (display units).  The ``sweep``
-    section is None when the configuration has none; each command then
-    substitutes its own default (see `effective_sections`).
+    section is None when the configuration has none; `command_run` then
+    substitutes the command's own.
 
     ``material`` and ``out_dir`` mirror the ``--material`` / ``--out``
     command-line shortcuts and take precedence over the file; ``overrides``
@@ -257,58 +256,54 @@ def load_config(
         else None
         for section in _KEYS
     }
-    # Building the chain objects checks their rules here, for every command alike.  The
-    # [sweep] section is left to the command, which decides what it means.
-    varactor_design(sections)
-    circuit_params(sections)
-    drive_spec(sections)
-    gain_grid(sections)
+    # Building the chain objects checks their rules here, for every command alike.
+    _chain(sections)
     return sections
 
 
-def effective_sections(config: dict, command: str) -> dict:
-    """Finalise the per-command view of the configuration (echo-ready).
+class Run(NamedTuple):
+    """What one command runs on: its echo-ready sections and the chain objects built from them."""
 
-    Fills the command's default sweep when none applies and resolves the
-    gain ratios (from ``[gain] xi_ratio``, or a ``pump_ratio`` sweep, or the
-    built-in default list).
+    sections: dict
+    design: VaractorDesign
+    circuit: CircuitParams
+    drive: DriveSpec
+    grid: GridSpec
+    sweep: SweepSpec
+
+
+def command_run(config: dict, command: str) -> Run:
+    """What ``command`` runs on, from a configuration returned by `load_config`.
+
+    A ``[sweep]`` the command does not read gives way to the command's own, except that
+    ``sweep`` refuses it; ``gain`` takes its ratios from a ``pump_ratio`` sweep when
+    ``[gain] xi_ratio`` is unset; ``design`` and ``gain`` search the bias window of the
+    sweep, even a one-point one.
     """
+    reads, fallback = _COMMAND_SWEEPS[command]
     sections = {name: dict(entries) for name, entries in config.items() if entries}
     sweep = sections.get("sweep")
-
-    if command == "material":
-        if sweep is None or sweep["variable"] != "bias_field":
-            sections["sweep"] = _resolve("sweep", _DEFAULT_FIELD_SWEEP)
-    elif command == "sweep":
-        if sweep is None:
-            sections["sweep"] = _resolve("sweep", _DEFAULT_BIAS_SWEEP)
-        elif sweep["variable"] not in ("bias_voltage", "plate_separation"):
+    if sweep is not None and sweep["variable"] not in reads:
+        if command == "sweep":
             raise ConfigurationError(
                 f"[sweep] variable {sweep['variable']!r} is not sweepable here: use the "
                 "'material' command for bias_field and the 'gain' command for pump_ratio"
             )
-    elif command in ("design", "gain"):
-        ratios = sections["gain"]["xi_ratio"]
-        if command == "gain" and ratios is None:
-            if sweep is not None and sweep["variable"] == "pump_ratio":
-                ratios = tuple(sweep_spec(sections).points())
-            else:
-                ratios = _DEFAULT_GAIN_RATIOS
-            sections["gain"]["xi_ratio"] = ratios
-        # The bias window for the working-point search, even for a one-point [sweep].
-        if sweep is None or sweep["variable"] != "bias_voltage":
-            sections["sweep"] = _resolve("sweep", _DEFAULT_BIAS_SWEEP)
+        if command == "gain" and sweep["variable"] == "pump_ratio":
+            if sections["gain"]["xi_ratio"] is None:
+                sections["gain"]["xi_ratio"] = tuple(_sweep_spec(sweep).points())
+        sweep = None
+    if sweep is None:
+        sections["sweep"] = _resolve("sweep", fallback)
+    if sections["gain"]["xi_ratio"] is None:
+        sections["gain"]["xi_ratio"] = _DEFAULT_GAIN_RATIOS
+    if command in ("design", "gain"):
         lo, hi = sections["sweep"]["min"], sections["sweep"]["max"]
         if not lo < hi:
             raise ConfigurationError(
                 f"[sweep] min, max: search range is empty: min = {lo} mV must be < max = {hi} mV"
             )
-    else:
-        raise ValueError(f"unknown command {command!r}")
-
-    if sections["gain"]["xi_ratio"] is None:
-        sections["gain"]["xi_ratio"] = _DEFAULT_GAIN_RATIOS
-    return sections
+    return Run(sections, *_chain(sections))
 
 
 def _to_si(section: str, key: str, value: float, scale: float) -> float:
@@ -369,28 +364,20 @@ def _build(cls, sections: dict, section: str, **extra):
         raise _restated(exc, section, shown) from None
 
 
-def material_params(sections: dict) -> MaterialParams:
-    return _build(MaterialParams, sections, "material")
+def _chain(sections: dict) -> tuple:
+    """The design, circuit, drive, gain grid and sweep (None without one) of the sections."""
+    material = _build(MaterialParams, sections, "material")
+    sweep = sections["sweep"]
+    return (
+        _build(VaractorDesign, sections, "geometry", material=material),
+        _build(CircuitParams, sections, "circuit"),
+        _build(DriveSpec, sections, "drive"),
+        _build(GridSpec, sections, "gain"),
+        None if sweep is None else _sweep_spec(sweep),
+    )
 
 
-def varactor_design(sections: dict) -> VaractorDesign:
-    return _build(VaractorDesign, sections, "geometry", material=material_params(sections))
-
-
-def circuit_params(sections: dict) -> CircuitParams:
-    return _build(CircuitParams, sections, "circuit")
-
-
-def drive_spec(sections: dict) -> DriveSpec:
-    return _build(DriveSpec, sections, "drive")
-
-
-def gain_grid(sections: dict) -> GridSpec:
-    return _build(GridSpec, sections, "gain")
-
-
-def sweep_spec(sections: dict) -> SweepSpec:
-    s = sections["sweep"]
+def _sweep_spec(s: dict) -> SweepSpec:
     scale, unit = _SWEEP_UNITS[s["variable"]]
     start = _to_si("sweep", "min", s["min"], scale)
     stop = _to_si("sweep", "max", s["max"], scale)

@@ -52,7 +52,8 @@ class SweepSpec:
 
     A single-point sweep (count = 1, taken at ``start``) is allowed as a
     degenerate case; otherwise ``start < stop`` is required.  Log spacing
-    needs a strictly positive start.
+    and a plate separation need a strictly positive start, a pump ratio a
+    non-negative one.
     """
 
     variable: str
@@ -77,6 +78,10 @@ class SweepSpec:
             raise ConfigurationError("range is empty: 'start' must be < 'stop'")
         if self.spacing == "log" and self.start <= 0.0:
             raise ConfigurationError("sweep 'start' must be > 0 for log spacing")
+        if self.variable == "plate_separation" and self.start <= 0.0:
+            raise ConfigurationError("sweep 'start' must be > 0 for plate_separation")
+        if self.variable == "pump_ratio" and self.start < 0.0:
+            raise ConfigurationError("sweep 'start' must be >= 0 for pump_ratio")
 
     def points(self) -> list[float]:
         if self.count == 1:

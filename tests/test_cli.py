@@ -13,15 +13,7 @@ import qpamp
 from qpamp import ConfigurationError, permittivity, builtin_material
 from qpamp.amplifier import GridSpec, profile_from_rates, rate_budget, reflection
 from qpamp.cli import main
-from qpamp.config import (
-    _KEYS,
-    config_text_from_output,
-    effective_sections,
-    circuit_params,
-    drive_spec,
-    load_config,
-    varactor_design,
-)
+from qpamp.config import _KEYS, command_run, config_text_from_output, load_config
 from qpamp.sweep import maximize_3wm
 
 
@@ -211,9 +203,10 @@ class TestConfigDiagnostics:
 
     def test_non_finite_drive_phase_names_its_key(self):
         # The parser already refuses 'nan'; the chain-object rule is reported the same way.
-        sections = {"drive": {"v_ac_mv": 1.0, "theta_rad": math.nan}}
+        config = load_config()
+        config["drive"]["theta_rad"] = math.nan
         with pytest.raises(ConfigurationError) as excinfo:
-            drive_spec(sections)
+            command_run(config, "design")
         assert str(excinfo.value) == "[drive] theta_rad: must be finite, got nan"
 
     @pytest.mark.parametrize(
@@ -243,6 +236,21 @@ class TestConfigDiagnostics:
                 "material",
                 ("bias_field", "1e305", "1e306", "3", "linear"),
                 "[sweep] min: 1e+305 is out of floating-point range in SI units",
+            ),
+            (
+                "sweep",
+                ("plate_separation", "0", "1000", "3", "linear"),
+                "[sweep] min: must be > 0 for plate_separation, got 0.0 nm",
+            ),
+            (
+                "sweep",
+                ("plate_separation", "-100", "1000", "3", "linear"),
+                "[sweep] min: must be > 0 for plate_separation, got -100.0 nm",
+            ),
+            (
+                "gain",
+                ("pump_ratio", "-0.5", "0.5", "3", "linear"),
+                "[sweep] min: must be >= 0 for pump_ratio, got -0.5",
             ),
         ],
     )
@@ -378,12 +386,9 @@ class TestGainCommand:
 
         # Rebuild the identical pipeline through the config layer.
         cfg = load_config(overrides=["gain.xi_ratio=0.9", "gain.count=201"])
-        sections = effective_sections(cfg, "gain")
-        design = varactor_design(sections)
-        circuit = circuit_params(sections)
-        drive = drive_spec(sections)
-        best = maximize_3wm(design, circuit, drive, v_range=(0.0, 0.25))
-        rates = rate_budget(best.v0_max, design, circuit)
+        run = command_run(cfg, "gain")
+        best = maximize_3wm(run.design, run.circuit, run.drive, v_range=(0.0, 0.25))
+        rates = rate_budget(best.v0_max, run.design, run.circuit)
         r_center = reflection(rates.omega_p / 2.0, 0.9 * rates.kappa / 2.0, rates)
         expected_peak = 20.0 * math.log10(abs(r_center))
         assert max(column(columns, rows, "gain_db")) == pytest.approx(
@@ -587,6 +592,77 @@ def test_every_command_checks_every_section(tmp_path, capsys, command, override)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"[{section}] {key}" in err[0], err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["material", "design", "gain", "sweep"])
+def test_every_command_checks_the_sweep_section(tmp_path, capsys, command):
+    # Even a command that falls back to its own [sweep] refuses an invalid one.
+    sweep = {"variable": "bias_field", "min": "5", "max": "1", "count": "3"}
+    overrides = [f"--override=sweep.{key}={value}" for key, value in sweep.items()]
+    assert main([command, "--out", str(tmp_path), *overrides]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qpamp: config error: [sweep] min, max: "), err
+    assert not any(tmp_path.iterdir())
+
+
+# A valid [sweep] per variable, each distinct from every command's fallback.
+MATRIX_SWEEPS = {
+    "bias_voltage": ("10", "200"),
+    "bias_field": ("0.5", "4"),
+    "plate_separation": ("100", "1000"),
+    "pump_ratio": ("0.25", "0.75"),
+}
+FIELD_FALLBACK = ["variable = bias_field", "min = 0.0", "max = 5.0", "count = 201",
+                  "spacing = linear"]
+BIAS_FALLBACK = ["variable = bias_voltage", "min = 0.0", "max = 250.0", "count = 201",
+                 "spacing = linear"]
+OUTPUT_FILES = {"material": "material.csv", "design": "design.kv", "gain": "gain.csv",
+                "sweep": "sweep.csv"}
+
+
+def echoed_section(path, section):
+    """The key = value lines echoed for one section in an output file's header."""
+    lines, inside = [], False
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            break
+        text = line[1:].strip()
+        if text.startswith("["):
+            inside = text == f"[{section}]"
+        elif inside and text:
+            lines.append(text)
+    return lines
+
+
+@pytest.mark.parametrize("variable", [None, *MATRIX_SWEEPS])
+@pytest.mark.parametrize("command", ["material", "design", "gain", "sweep"])
+def test_command_sweep_matrix(tmp_path, capsys, command, variable):
+    """Which [sweep] each command runs on, for no [sweep] and for one of each variable."""
+    argv = [command, "--out", str(tmp_path), "--override", "gain.count=5"]
+    given = None
+    if variable is not None:
+        lo, hi = MATRIX_SWEEPS[variable]
+        given = [f"variable = {variable}", f"min = {float(lo)}", f"max = {float(hi)}",
+                 "count = 3", "spacing = linear"]
+        for key, value in (("variable", variable), ("min", lo), ("max", hi), ("count", "3")):
+            argv += ["--override", f"sweep.{key}={value}"]
+    reads = {"material": ("bias_field",), "design": ("bias_voltage",),
+             "gain": ("bias_voltage",), "sweep": ("bias_voltage", "plate_separation")}[command]
+    rc = main(argv)
+
+    if command == "sweep" and variable in ("bias_field", "pump_ratio"):
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"variable {variable!r} is not sweepable here" in err[0], err
+        assert not any(tmp_path.iterdir())
+        return
+    assert rc == 0
+    path = tmp_path / OUTPUT_FILES[command]
+    fallback = FIELD_FALLBACK if command == "material" else BIAS_FALLBACK
+    assert echoed_section(path, "sweep") == (given if variable in reads else fallback)
+    from_sweep = command == "gain" and variable == "pump_ratio"
+    ratios = "0.25, 0.5, 0.75" if from_sweep else "0.5, 0.9, 0.99"
+    assert f"xi_ratio = {ratios}" in echoed_section(path, "gain")
 
 
 class TestOutputContract:

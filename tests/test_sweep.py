@@ -63,6 +63,10 @@ class TestSweepSpec:
             SweepSpec("temperature", 0.0, 0.25, 5)
         with pytest.raises(ConfigurationError):
             SweepSpec("plate_separation", 0.0, 1e-4, 5, spacing="log")
+        with pytest.raises(ConfigurationError, match="plate_separation"):
+            SweepSpec("plate_separation", 0.0, 1e-4, 5)  # no plates at zero separation
+        with pytest.raises(ConfigurationError, match="pump_ratio"):
+            SweepSpec("pump_ratio", -0.5, 0.5, 3)  # a pump ratio is a magnitude
 
     @pytest.mark.parametrize("name", ["start", "stop"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
