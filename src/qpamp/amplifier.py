@@ -258,12 +258,12 @@ def compression_estimate(
     Raises
     ------
     ValueError
-        If ``k_eff`` is not positive (no Kerr limit to estimate).
+        If ``k_eff`` (no Kerr limit to estimate) or the photon budget is not positive.
     """
-    if k_eff <= 0.0 and n_photons is None:
+    if not k_eff > 0.0 and n_photons is None:
         raise ValueError("k_eff must be positive to set a Kerr-limited photon budget")
     n = rates.kappa / k_eff if n_photons is None else n_photons
-    if n <= 0.0:
+    if not n > 0.0:
         raise ValueError("photon budget must be positive")
     two_pi = 2.0 * math.pi
     p_ordinary = n * hbar * (rates.omega0 / two_pi) * (rates.kappa / two_pi)

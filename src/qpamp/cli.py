@@ -14,9 +14,10 @@ Four subcommands cover the main workflows:
     Bias-voltage or plate-separation sweep tables -> ``sweep.csv``.
 
 Every output file starts with a comment banner and the fully resolved
-configuration, so a run can be reproduced from any of its outputs.  Exit
-codes: 0 on success, 2 for configuration problems, 3 for numerical failures
-(including pumping at or beyond the oscillation threshold).
+configuration, so a run can be reproduced from any of its outputs.  `main` alone
+sets the exit code: 2 for an error while the configuration resolves or an I/O error,
+3 for any other error once the command runs.  No file is written if a value is
+non-finite outside `_NON_FINITE_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from ._version import __version__
 from .amplifier import RateBudget, compression_estimate, profile_from_rates
 from .config import Run, command_run, echo_lines, load_config
-from .errors import ConfigurationError, NumericalError
+from .errors import NumericalError
 from .resonator import operating_point
 from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
 
@@ -61,14 +62,24 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, command: str, sections: dict, columns, rows) -> None:
-    # NaN is documented only in peak_gain_db (at or beyond threshold).
-    checked = [i for i, name in enumerate(columns) if name != "peak_gain_db"]
+# The only columns a command may write non-finite: peak_gain_db is NaN at or beyond
+# threshold, and q_int is inf for a lossless film.
+_NON_FINITE_COLUMNS = ("peak_gain_db", "q_int")
+
+
+def _check_finite(command: str, columns, rows) -> None:
+    """Refuse a non-finite value outside the documented columns, before anything is written."""
+    checked = [i for i, name in enumerate(columns) if name not in _NON_FINITE_COLUMNS]
     for row in rows:
         for i in checked:
             if not math.isfinite(row[i]):
                 raise NumericalError(f"{command} table column {columns[i]!r} is not finite")
-    lines = _header(command, sections)
+
+
+def _write_csv(run: Run, command: str, columns, rows) -> None:
+    _check_finite(command, columns, rows)
+    path = _out_dir(run) / f"{command}.csv"
+    lines = _header(command, run.sections)
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(value) for value in row) for row in rows)
     _write_lines(path, lines)
@@ -78,7 +89,7 @@ def _write_csv(path: Path, command: str, sections: dict, columns, rows) -> None:
 def _table_command(command):
     """Run a command that builds numpy arrays with numpy's floating-point warnings off.
 
-    Overflow and 0/0 then surface as non-finite cells (checked by `_write_csv`) or as
+    Overflow and 0/0 then surface as non-finite cells (checked by `_check_finite`) or as
     ArithmeticError, not as warnings.  `cmd_design` evaluates plain floats and never
     loads numpy, so it is not wrapped.
     """
@@ -97,7 +108,7 @@ def _table_command(command):
 def cmd_material(run: Run) -> None:
     """Dielectric response table over the configured bias-field range."""
     result = dielectric_sweep(run.design.material, run.sweep)
-    _write_csv(_out_dir(run) / "material.csv", "material", run.sections, result.columns, result.rows)
+    _write_csv(run, "material", result.columns, result.rows)
 
 
 # (kv key, report label, display unit) rows of the design report.
@@ -133,22 +144,13 @@ def _working_point(run: Run):
             file=sys.stderr,
         )
     point = operating_point(best.v0_max, drive, design, circuit)
-    rates = (point.omega0, point.kappa_int, point.kappa_ext)
-    if not all(map(math.isfinite, rates)):
-        # An overflow here (kappa_int = omega0 tan(delta)) is numerical, not a config error.
-        raise NumericalError(
-            "working point has non-finite rates: omega0 = {}, kappa_int = {}, kappa_ext = {} "
-            "rad/s".format(*rates)
-        )
-    return best, point, RateBudget(*rates)
+    return best, point, RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
 
 
 def cmd_design(run: Run) -> None:
     """Working-point search and full design report."""
     sections = run.sections
     best, point, rates = _working_point(run)
-    if not 0.0 < point.k_eff < math.inf:  # K_eff ~ v_zpf**4 can under- or overflow
-        raise NumericalError(f"K_eff = {point.k_eff} rad/s is not finite and positive")
     comp = compression_estimate(point.k_eff, rates)
     xi = abs(point.xi)
 
@@ -170,6 +172,7 @@ def cmd_design(run: Run) -> None:
         "p_circ_dbm": comp.p_dbm_ordinary,
         "p_circ_dbm_angular": comp.p_dbm_angular,
     }
+    _check_finite("design", tuple(values), [tuple(values.values())])
 
     report = [f"{'material':<50}{sections['material']['name']}"]
     report.extend(
@@ -182,9 +185,7 @@ def cmd_design(run: Run) -> None:
     kv.extend(f"{key} = {_fmt(values[key])}" for key, _, _ in _REPORT_FIELDS)
     _write_lines(out / "design.kv", _header("design", sections) + kv)
 
-    print("\n".join(report))
-    print(f"wrote {out / 'design.txt'}")
-    print(f"wrote {out / 'design.kv'}")
+    print("\n".join(report + [f"wrote {out / name}" for name in ("design.txt", "design.kv")]))
 
 
 @_table_command
@@ -200,13 +201,7 @@ def cmd_gain(run: Run) -> None:
             refl = profile.reflection[i]
             rows.append((ratio, omega / _TWO_PI / 1e9, gain_db[i], refl.real, refl.imag))
 
-    _write_csv(
-        _out_dir(run) / "gain.csv",
-        "gain",
-        run.sections,
-        ("xi_ratio", "freq_ghz", "gain_db", "re_R", "im_R"),
-        rows,
-    )
+    _write_csv(run, "gain", ("xi_ratio", "freq_ghz", "gain_db", "re_R", "im_R"), rows)
 
 
 @_table_command
@@ -214,7 +209,7 @@ def cmd_sweep(run: Run) -> None:
     """Bias-voltage or plate-separation sweep table."""
     tabulate = bias_sweep if run.sweep.variable == "bias_voltage" else geometry_sweep
     result = tabulate(run.sweep, run.design, run.circuit, run.drive)
-    _write_csv(_out_dir(run) / "sweep.csv", "sweep", run.sections, result.columns, result.rows)
+    _write_csv(run, "sweep", result.columns, result.rows)
 
 
 _COMMANDS = {
@@ -260,24 +255,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
+    try:  # config phase
         config = load_config(args.config, args.override, args.material, args.out)
-        # The table commands silence numpy's warnings themselves (`_table_command`).
-        _COMMANDS[args.command](command_run(config, args.command))
-    except NumericalError as exc:
-        print(f"qpamp: error: {exc}", file=sys.stderr)
-        return 3
+        run = command_run(config, args.command)
+    except ValueError as exc:
+        print(f"qpamp: config error: {exc}", file=sys.stderr)
+        return 2
+    # Command phase: the config is valid, so a computed value that breaks a rule is numerical.
+    # The table commands silence numpy's warnings themselves (`_table_command`).
+    try:
+        _COMMANDS[args.command](run)
     except ArithmeticError as exc:
         print(f"qpamp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, ValueError) as exc:
-        print(f"qpamp: config error: {exc}", file=sys.stderr)
-        return 2
+    except (NumericalError, ValueError) as exc:
+        print(f"qpamp: error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"qpamp: i/o error: {exc}", file=sys.stderr)
         return 2
     return 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -60,7 +60,9 @@ def _parse_ratio_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_text(section: str, key: str, raw: str) -> str:
+def _parse_path(section: str, key: str, raw: str) -> str:
+    if "\0" in raw:  # no file system takes it
+        raise ConfigurationError(f"[{section}] {key}: a path cannot contain a NUL byte")
     return raw
 
 
@@ -142,7 +144,7 @@ _KEYS = {
         "half_span_kappa": _Key(_parse_float, 4.0, "half_span_kappa"),
     },
     "output": {
-        "path": _Key(_parse_text, "out"),
+        "path": _Key(_parse_path, "out"),
         "format": _Key(_choice("csv"), "csv"),
     },
 }
@@ -181,7 +183,7 @@ def _read_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file {path!r}: {exc}") from None

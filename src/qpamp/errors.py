@@ -1,9 +1,9 @@
 """Exception types shared across the toolkit.
 
-The command-line layer maps these onto process exit codes: configuration
-problems exit with 2, numerical failures (non-convergence, a flat
-working-point objective, driving an amplifier at or past its oscillation
-threshold) exit with 3.
+The command-line layer maps errors onto exit codes by phase: a ``ValueError``
+(`ConfigurationError` included) while the configuration resolves exits with 2;
+after that, a `NumericalError` (non-convergence, a flat working-point objective,
+a pump at or past the oscillation threshold) or any ``ValueError`` exits with 3.
 """
 
 

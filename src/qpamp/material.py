@@ -129,19 +129,18 @@ class MaterialParams:
             raise ConfigurationError("material parameter 'a3' must be finite and non-negative")
         if not self.temperature < self.debye_temp / 10.0:
             raise ConfigurationError(
-                "low-temperature model requires temperature < debye_temp/10 "
-                f"(got {self.temperature} K vs {self.debye_temp} K)"
+                "low-temperature model requires 'temperature' < 'debye_temp' / 10"
             )
         if self.defect_density > 0.0 and self.a3 is None:
             raise ConfigurationError(
-                "defect_density > 0 requires the charged-defect loss coefficient a3"
+                "'defect_density' > 0 requires the charged-defect loss coefficient 'a3'"
             )
         eta_val = eta(self)
         if not eta_val > 0.0:
             # eta < 0 is a ferroelectric ground state, eta = 0 the quantum critical point.
             raise ConfigurationError(
                 f"material parameters give eta = {eta_val:.6g}, outside the quantum-paraelectric "
-                "model, which needs eta > 0 (debye_temp > 4 curie_temp)"
+                "model, which needs eta > 0 ('debye_temp' > 4 * 'curie_temp' at T = 0)"
             )
 
 

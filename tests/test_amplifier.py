@@ -302,3 +302,9 @@ class TestCompression:
             compression_estimate(0.0, LOSSLESS)
         with pytest.raises(ValueError):
             compression_estimate(-1.0, LOSSLESS)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="k_eff must be positive"):
+            compression_estimate(math.nan, LOSSLESS)
+        with pytest.raises(ValueError, match="photon budget must be positive"):
+            compression_estimate(1.0, LOSSLESS, n_photons=math.nan)

@@ -145,6 +145,23 @@ class TestConfigDiagnostics:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(b"\xff[material]\nname = sto\n")
+        out = tmp_path / "out"
+        assert main(["material", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"qpamp: config error: cannot read config file {str(cfg)!r}: ")
+        assert not out.exists()
+
+    def test_nul_in_output_path_is_config_error(self, tmp_path, capsys):
+        path = str(tmp_path / "a\0b")
+        assert main(["material", "--override", f"output.path={path}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["qpamp: config error: [output] path: a path cannot contain a NUL byte"]
+        assert not any(tmp_path.iterdir())
+
     def test_nonpositive_geometry_rejected(self, tmp_path):
         rc = main(["material", "--out", str(tmp_path), "--override", "geometry.thickness_nm=0"])
         assert rc == 2
@@ -191,6 +208,45 @@ class TestConfigDiagnostics:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"qpamp: config error: [material] {key}: {rule}, got -1.0"], err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                ["material.temperature_k=50"],
+                "[material] debye_temp_k, temperature_k: low-temperature model requires "
+                "temperature_k = 50.0 < debye_temp_k = 175.0 / 10",
+            ),
+            (
+                ["material.defect_density=1"],
+                "[material] loss_a3, defect_density: defect_density = 1.0 > 0 requires the "
+                "charged-defect loss coefficient loss_a3 = None",
+            ),
+            (
+                [
+                    "material.name=custom",
+                    "material.eps00_rel=2000",
+                    "material.curie_temp_k=50",
+                    "material.debye_temp_k=100",
+                    "material.renorm_field_v_per_um=1",
+                    "material.inhomogeneity=0.01",
+                    "material.loss_a1=0",
+                    "material.loss_a2=0",
+                ],
+                "[material] curie_temp_k, debye_temp_k: material parameters give eta = -0.5, "
+                "outside the quantum-paraelectric model, which needs eta > 0 "
+                "(debye_temp_k = 100.0 > 4 * curie_temp_k = 50.0 at T = 0)",
+            ),
+        ],
+        ids=["low_temperature", "defects_without_a3", "custom_eta"],
+    )
+    def test_material_rule_names_its_keys(self, tmp_path, capsys, overrides, message):
+        argv = ["design", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"qpamp: config error: {message}"]
         assert not any(tmp_path.iterdir())
 
     def test_negative_drive_amplitude_names_its_key(self, tmp_path, capsys):
@@ -317,6 +373,19 @@ class TestDesignCommand:
         assert rc == 0
         values = read_kv(tmp_path / "design.kv")
         assert float(values["v0_max_mv"]) == pytest.approx(4.0, abs=1e-3)
+
+    def test_lossless_film_reports_infinite_q_int(self, tmp_path, capsys):
+        # q_int is one of the two documented non-finite values: inf without internal loss.
+        argv = ["design", "--out", str(tmp_path)]
+        argv += ["--override", "material.loss_a1=0", "--override", "material.loss_a2=0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        values = read_kv(tmp_path / "design.kv")
+        assert values.pop("material") == "sto" and values.pop("q_int") == "inf"
+        assert float(values["kappa_int_mhz"]) == 0.0
+        assert all(math.isfinite(float(value)) for value in values.values()), values
+        report = (tmp_path / "design.txt").read_text().splitlines()
+        assert "internal quality factor".ljust(50) + "inf" in report
 
 
 # A 0-5 mV search window ends below the STO optimum near 9.3 mV.
@@ -554,6 +623,31 @@ NUMERICAL_FAILURES = {
     "k_eff_underflow": ["design", "--override", "circuit.inductance_nh=1e300"],
     # v_zpf**2 underflows, so |xi| is 0 on the whole search grid.
     "xi_underflow": ["design", "--override", "geometry.area_um2=1e300"],
+    # kappa_ext = omega0 / q_ext is huge, so the compression power overflows to inf.
+    "power_overflow": ["design", "--override", "circuit.q_ext=1e-200"],
+    # |xi| ~ v_ac is huge and K_eff tiny, so |xi|/K_eff and the pump occupation overflow to inf.
+    "pump_photons_overflow": [
+        "design",
+        "--override",
+        "drive.v_ac_mv=1e300",
+        "--override",
+        "circuit.inductance_nh=1e100",
+    ],
+    # kappa_ext = omega0 / q_ext underflows to 0: a valid config whose rate breaks RateBudget.
+    "kappa_ext_underflow_design": [
+        "design",
+        "--override",
+        "circuit.q_ext=1e300",
+        "--override",
+        "circuit.inductance_nh=1e100",
+    ],
+    "kappa_ext_underflow_gain": [
+        "gain",
+        "--override",
+        "circuit.q_ext=1e300",
+        "--override",
+        "circuit.inductance_nh=1e100",
+    ],
 }
 
 
@@ -568,7 +662,7 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, argv):
 def test_k_eff_underflow_fails_only_the_design(tmp_path, capsys):
     override = ["--override", "circuit.inductance_nh=1e300"]
     assert main(["design", "--out", str(tmp_path / "design"), *override]) == 3
-    assert "K_eff" in capsys.readouterr().err
+    assert "k_eff must be positive" in capsys.readouterr().err
     # Neither the gain curves nor the sweep table read K_eff.
     for command in ("gain", "sweep"):
         assert main([command, "--out", str(tmp_path / command), *override]) == 0

@@ -1,8 +1,9 @@
 """Fuzzed command-line contract: overrides drawn from the config key table.
 
-Every run either exits 0 and writes only finite table cells (NaN is allowed
-in the documented ``peak_gain_db`` column), or exits 2 (configuration) or
-3 (numerical failure); stderr carries nothing but ``qpamp:`` lines.
+Every run either exits 0 and writes only finite values (NaN is allowed in
+the documented ``peak_gain_db`` column, inf in the design report's ``q_int``),
+or exits 2 (configuration, with a line that names the section) or 3
+(numerical failure); stderr carries nothing but ``qpamp:`` lines.
 """
 
 import contextlib
@@ -66,12 +67,22 @@ def argv(draw):
     return args
 
 
-def table_cells(path):
-    """(column, value) for every data cell of a CSV output file."""
+def written_values(path):
+    """(column or key, value) for every number of a CSV table or of a design.kv report."""
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    if path.suffix == ".kv":
+        for line in lines:
+            key, _, value = line.partition(" = ")
+            if key != "material":
+                yield key, float(value)
+        return
     columns = lines[0].split(",")
     for line in lines[1:]:
         yield from zip(columns, map(float, line.split(",")))
+
+
+def documented(name, value):
+    return (name == "peak_gain_db" and math.isnan(value)) or (name == "q_int" and value == math.inf)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -87,13 +98,11 @@ def test_every_run_keeps_the_exit_contract(args):
         files = sorted(Path(out).iterdir())
         if rc != 0:
             assert lines and files == [], (rc, lines, files)
+            if rc == 2:
+                assert all(line.startswith("qpamp: config error: [") for line in lines), lines
             return
         for path in files:
-            if path.suffix != ".csv":
+            if path.suffix not in (".csv", ".kv"):
                 continue
-            for name, value in table_cells(path):
-                assert math.isfinite(value) or (name == "peak_gain_db" and math.isnan(value)), (
-                    path.name,
-                    name,
-                    value,
-                )
+            for name, value in written_values(path):
+                assert math.isfinite(value) or documented(name, value), (path.name, name, value)
