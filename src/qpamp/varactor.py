@@ -17,6 +17,31 @@ processes downstream:
 (primes on U with respect to charge, on C with respect to voltage, all
 evaluated at the working point).
 
+`charge` and `energy` integrate C(u) and u C(u) over [0, |v|].
+
+* Ideal crystal (lam_s = 0): closed forms in the cubic's root y at
+  x = |v| / (d E_N), since ``G dx = (3/2) dy`` along the cubic:
+  ``q = (3/2) eps0 A eps00_rel E_N y`` and
+  ``U = (3/4) eps0 A eps00_rel d E_N**2 (y**4 / 4 + (3/2) eta y**2)``.
+  A floor lam_s > 0 lowers q and U by at most (4/9) lam_s**2 / eta**3
+  relative, so a floor with lam_s**2 <= 1e-17 eta**3 takes these forms too:
+  they are then exact to rounding, while t below would run out to
+  log(1 / lam_s) and lose digits in sinh t.
+* lam_s > 0: the substitution u = a sinh t with a = d E_N lam_s makes
+  lam = lam_s cosh t entire in t.  That removes the branch points of
+  sqrt(lam_s**2 + x**2) at x = +-i lam_s, close to the real axis when lam_s
+  is small.  The only singularities left are the cubic's branch points
+  lam = +-i eta**(3/2), at t = +-knee + i pi/2 (repeated every i pi), with
+  knee = asinh(eta**(3/2) / lam_s).  [0, asinh(|v| / a)] is cut at the
+  knee, each part is split into equal panels at most pi wide, and each panel
+  is summed by a 16-point Gauss-Legendre rule.  The rule's error falls like
+  rho**(-32), where rho is the Bernstein-ellipse parameter of the nearest
+  singularity (Trefethen, SIAM Rev. 50, 2008).  A singularity pi/2 above the
+  end of a panel pi wide gives rho = 2.89, an error near 1e-15.  The cut
+  keeps it from sitting above a panel's middle (rho = 2.41), and the width
+  bound keeps it from sitting closer than one half-width.  Each node is one
+  call of the module-global `capacitance`.
+
 `voltage_from_charge` inverts q(v) by Newton steps with dq/dv = C(v),
 started from the closed-form inverse of an ideal crystal (lam_s = 0).  That
 start never lies beyond the root and q is concave in |v|, so the iterates
@@ -30,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, NumericalError
-from .material import MaterialParams, eta, permittivity, permittivity_derivatives
+from .material import MaterialParams, _solve_cubic, eta, permittivity, permittivity_derivatives
 
 __all__ = [
     "VaractorDesign",
@@ -43,10 +68,21 @@ __all__ = [
     "energy_and_derivatives",
 ]
 
-_QUAD_RTOL = 1e-12
-
 # Vacuum permittivity [F/m], CODATA 2022.
 epsilon_0 = 8.8541878188e-12
+
+# (node, weight) pairs of the 16-point Gauss-Legendre rule on [-1, 1] with
+# node > 0; the other eight nodes are their mirror images.
+_GAUSS_LEGENDRE_16 = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +127,8 @@ class ChargePoint:
 
 
 def _check_range(voltage: float, design: VaractorDesign) -> None:
-    if abs(voltage) > design.v_max:
+    # Negated test: NaN fails every comparison and is refused here.
+    if not abs(voltage) <= design.v_max:
         raise ValueError(
             f"bias voltage {voltage} V outside the trusted range +-{design.v_max} V"
         )
@@ -122,16 +159,44 @@ def _voltage_derivatives(eps_r, d1, d2, design: VaractorDesign):
     return _capacitance(eps_r, design), scale * d1 / d, scale * d2 / (d * d)
 
 
-def _quad(func, lo: float, hi: float, what: str) -> float:
-    # Imported on first use: the design chain and the CLI never integrate.
-    from scipy.integrate import quad
+def _integral(func, voltage: float, design: VaractorDesign) -> float:
+    """integral_0^|v| func(u) du for a floor lam_s > 0, by Gauss-Legendre panels in t.
 
-    result = quad(func, lo, hi, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200, full_output=1)
-    if len(result) > 3:
-        raise NumericalError(
-            f"quadrature for {what} over [{lo}, {hi}] did not converge: {result[3]}"
-        )
-    return result[0]
+    The substitution, the cut at the knee and the panel width are those of
+    the module docstring.
+    """
+    material = design.material
+    scale = design.thickness * material.renorm_field * material.inhomogeneity
+    end = math.asinh(abs(voltage) / scale)
+    knee = math.asinh(eta(material) ** 1.5 / material.inhomogeneity)
+    total = 0.0
+    for lo, hi in ((0.0, min(end, knee)), (knee, end)):
+        if not lo < hi:
+            continue
+        panels = math.ceil((hi - lo) / math.pi)
+        half = 0.5 * (hi - lo) / panels
+        for k in range(panels):
+            mid = lo + (2 * k + 1) * half
+            for node, weight in _GAUSS_LEGENDRE_16:
+                for t in (mid - half * node, mid + half * node):
+                    total += half * weight * math.cosh(t) * func(scale * math.sinh(t))
+    return scale * total
+
+
+def _ideal(material: MaterialParams) -> bool:
+    # The floor changes q and U by less than rounding (module docstring).
+    return material.inhomogeneity**2 <= 1e-17 * eta(material) ** 3
+
+
+def _ideal_charge_per_root(design: VaractorDesign) -> float:
+    # q / y = (3/2) eps0 A eps00_rel E_N for an ideal crystal.
+    material = design.material
+    return 1.5 * epsilon_0 * design.plate_area * material.eps00_rel * material.renorm_field
+
+
+def _ideal_root(voltage: float, design: VaractorDesign) -> float:
+    material = design.material
+    return _solve_cubic(abs(voltage) / (design.thickness * material.renorm_field), eta(material))
 
 
 def charge(voltage: float, design: VaractorDesign) -> float:
@@ -140,9 +205,11 @@ def charge(voltage: float, design: VaractorDesign) -> float:
     Odd in v; strictly increasing because C > 0.
     """
     _check_range(voltage, design)
-    if voltage == 0.0:
-        return 0.0
-    return _quad(lambda u: capacitance(u, design), 0.0, voltage, "charge")
+    if _ideal(design.material):
+        q = _ideal_charge_per_root(design) * _ideal_root(voltage, design)
+    else:
+        q = _integral(lambda u: capacitance(u, design), voltage, design)
+    return math.copysign(q, voltage)
 
 
 def voltage_from_charge(q: float, design: VaractorDesign) -> float:
@@ -155,7 +222,10 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
     so the start never lies beyond the root.  q is concave in |v| (C falls
     with |v|), so each tangent step lands short of the root again and the
     iterates rise monotonically without a bracket.  They stop on a step of a
-    few ulps or on one that no longer shrinks (quadrature noise).
+    few ulps or on one that no longer shrinks.  The second guards against
+    rounding noise: the fixed quadrature rule is accurate to about 1e-15, so
+    near the root the residual q - q(v) is rounding in the sums, whose steps
+    no longer point at the root.
 
     q(v_max), the costliest integral, is computed only when an iterate
     leaves [-v_max, v_max]; the iterate is then clamped to the window edge.
@@ -170,7 +240,7 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
     if q == 0.0:
         return 0.0
     material = design.material
-    y = abs(q) / (1.5 * epsilon_0 * design.plate_area * material.eps00_rel * material.renorm_field)
+    y = abs(q) / _ideal_charge_per_root(design)
     v = math.copysign(
         0.5 * design.thickness * material.renorm_field * y * (y * y + 3.0 * eta(material)), q
     )
@@ -200,12 +270,15 @@ def energy(voltage: float, design: VaractorDesign) -> float:
     """Capacitive energy U(q(v)) [J] accumulated charging from 0 to v.
 
     Computed as ``integral_0^v u * C(u) du``, which equals
-    ``integral_0^q v(q') dq'`` after integrating by parts.
+    ``integral_0^q v(q') dq'`` after integrating by parts.  Even in v.
     """
     _check_range(voltage, design)
-    if voltage == 0.0:
-        return 0.0
-    return _quad(lambda u: u * capacitance(u, design), 0.0, voltage, "energy")
+    material = design.material
+    if _ideal(material):
+        y2 = _ideal_root(voltage, design) ** 2
+        scale = 0.5 * design.thickness * material.renorm_field * _ideal_charge_per_root(design)
+        return scale * y2 * (0.25 * y2 + 1.5 * eta(material))
+    return _integral(lambda u: u * capacitance(u, design), voltage, design)
 
 
 def energy_and_derivatives(voltage: float, design: VaractorDesign) -> ChargePoint:

@@ -4,13 +4,16 @@ Nothing here shares algorithms with the package: the cubic is solved by
 plain bisection instead of Cardano's formula, q(v) is inverted by bisection
 instead of Newton steps, the 3-dB point by a scan plus
 bisection instead of polynomial roots, integrals use fixed-panel
-midpoint Riemann sums instead of adaptive quadrature, and derivatives use
-high-order finite-difference stencils instead of the chain rule.  The one
+midpoint Riemann sums or scipy's adaptive quadrature in the bias voltage
+instead of Gauss-Legendre panels in a substituted variable, and derivatives
+use high-order finite-difference stencils instead of the chain rule.  The one
 exception is `peak_gain_db_per_row`, which keeps the scalar per-row path
 that the bias sweep's ``peak_gain_db`` column replaced.
 """
 
 import math
+
+from scipy.integrate import quad
 
 from qpamp import RateBudget, ThresholdError, reflection
 
@@ -53,6 +56,16 @@ def invert_bisect(charge, q: float, v_max: float) -> float:
 def riemann_midpoint(func, lo: float, hi: float, panels: int = 20000) -> float:
     h = (hi - lo) / panels
     return h * math.fsum(func(lo + (i + 0.5) * h) for i in range(panels))
+
+
+def quad_adaptive(func, lo: float, hi: float) -> float:
+    """integral_lo^hi func by scipy's adaptive QUADPACK ``quad``, to 1e-13 relative.
+
+    Fails the calling test when ``quad`` reports that it did not converge.
+    """
+    result = quad(func, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500, full_output=1)
+    assert len(result) == 3, f"quad over [{lo}, {hi}] did not converge: {result[3]}"
+    return result[0]
 
 
 def fd6_first(func, x: float, h: float) -> float:

@@ -816,7 +816,8 @@ class TestOutputContract:
     def _loaded_after(package, steps, out_dir):
         """The modules of ``package`` loaded after each step, run in turn in a fresh interpreter.
 
-        A step is a module name to import, or a CLI argument list run with ``--out out_dir``.
+        A step is a module name to import, a CLI argument list run with ``--out out_dir``,
+        or a ``{"name": ..., "code": ...}`` snippet of Python to execute.
         """
         script = (
             "import importlib, json, sys\n"
@@ -826,6 +827,9 @@ class TestOutputContract:
             "    if isinstance(step, str):\n"
             "        importlib.import_module(step)\n"
             "        name = step\n"
+            "    elif isinstance(step, dict):\n"
+            "        exec(step['code'], {})\n"
+            "        name = step['name']\n"
             "    else:\n"
             "        name = ' '.join(step)\n"
             "        if importlib.import_module('qpamp.cli').main([*step, '--out', out]) != 0:\n"
@@ -857,6 +861,22 @@ class TestOutputContract:
         seen = self._loaded_after("numpy", ["qpamp", "qpamp.cli", *designs], tmp_path)
         names = ("qpamp", "qpamp.cli", "design --material sto", "design --material kto")
         assert seen == {k: [] for k in names}
+
+    def test_charge_path_runs_without_scipy_or_numpy(self, tmp_path):
+        # Charge, energy, inversion and expansion sum a fixed rule on Python floats.
+        code = (
+            "from dataclasses import replace\n"
+            "import qpamp\n"
+            "for material in (qpamp.STO, replace(qpamp.STO, inhomogeneity=0.0)):\n"
+            "    design = qpamp.VaractorDesign(16e-12, 200e-9, material)\n"
+            "    q = qpamp.charge(0.1, design)\n"
+            "    qpamp.energy(0.1, design)\n"
+            "    assert abs(qpamp.voltage_from_charge(q, design) - 0.1) < 1e-12\n"
+            "    qpamp.energy_and_derivatives(0.1, design)\n"
+        )
+        step = {"name": "charge path", "code": code}
+        for package in ("scipy", "numpy"):
+            assert self._loaded_after(package, [step], tmp_path) == {"charge path": []}
 
     def test_console_script_is_wired(self, tmp_path):
         src = str(Path(qpamp.__file__).resolve().parent.parent)

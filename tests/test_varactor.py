@@ -11,6 +11,7 @@ from oracles import (
     fd6_second,
     finite_difference_capacitance_derivatives,
     invert_bisect,
+    quad_adaptive,
     riemann_midpoint,
 )
 from qpamp import (
@@ -24,6 +25,7 @@ from qpamp import (
     charge,
     energy,
     energy_and_derivatives,
+    eta,
     voltage_from_charge,
 )
 
@@ -33,6 +35,13 @@ KTO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=KTO)
 IDEAL_DESIGN = VaractorDesign(16e-12, 200e-9, replace(STO, inhomogeneity=0.0))
 DESIGNS = {"sto": STO_DESIGN, "kto": KTO_DESIGN, "ideal": IDEAL_DESIGN}
 BIASES = [s * v for v in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0) for s in (1.0, -1.0)]
+# The disorder floors the quadrature grid spans: from nearly ideal films, whose
+# knee lies far out, to floors far above eta**(3/2), whose knee is near 0.
+INHOMOGENEITIES = [
+    0.0, 1e-9, 1e-6, 1e-4, 1e-3, 5e-3, STO.inhomogeneity, KTO.inhomogeneity, 0.2, 0.5,
+]
+# |v| from 1 uV to v_max = 1 V, half a decade apart, with both signs.
+GRID_BIASES = [s * 10.0 ** (k / 2.0 - 6.0) for k in range(13) for s in (1.0, -1.0)]
 
 
 class TestCapacitance:
@@ -111,6 +120,60 @@ class TestCharge:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             charge(1.5, STO_DESIGN)
+
+    @pytest.mark.parametrize("thickness", [100e-9, 400e-9, 5e-6])
+    @pytest.mark.parametrize("lam_s", INHOMOGENEITIES)
+    @pytest.mark.parametrize("base", [STO, KTO], ids=["sto", "kto"])
+    def test_against_adaptive_quadrature(self, base, lam_s, thickness):
+        design = VaractorDesign(16e-12, thickness, replace(base, inhomogeneity=lam_s))
+        for v in GRID_BIASES:
+            q_ref = quad_adaptive(lambda u: capacitance(u, design), 0.0, v)
+            u_ref = quad_adaptive(lambda u: u * capacitance(u, design), 0.0, v)
+            assert charge(v, design) == pytest.approx(q_ref, rel=1e-12, abs=0.0), v
+            assert energy(v, design) == pytest.approx(u_ref, rel=1e-12, abs=0.0), v
+
+    @pytest.mark.parametrize("v", [1e-3, 0.05, -0.25, 1.0])
+    def test_ideal_closed_forms_against_riemann_oracle(self, v):
+        # One Richardson step on 10000- and 20000-panel midpoint sums cancels
+        # their h**2 error, which reaches 1e-8 for u C(u) up to 1 V; what is
+        # left of the oracle's error stays below 1e-12.
+        def live(func):
+            fine, coarse = (riemann_midpoint(func, 0.0, v, n) for n in (20000, 10000))
+            return (4.0 * fine - coarse) / 3.0
+
+        q_ref = live(lambda u: capacitance(u, IDEAL_DESIGN))
+        u_ref = live(lambda u: u * capacitance(u, IDEAL_DESIGN))
+        assert charge(v, IDEAL_DESIGN) == pytest.approx(q_ref, rel=1e-11, abs=0.0)
+        assert energy(v, IDEAL_DESIGN) == pytest.approx(u_ref, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("base", [STO, KTO], ids=["sto", "kto"])
+    def test_floor_effect_bound(self, base):
+        # A floor lowers q and U by at most (4/9) lam_s**2 / eta**3 relative; below
+        # 1e-17 eta**3 that is under rounding, and the ideal forms are used.
+        ideal = VaractorDesign(16e-12, 200e-9, replace(base, inhomogeneity=0.0))
+        eta3 = eta(base) ** 3
+        for lam_s in (1e-6, 1e-5, 1e-300, 1e-320):
+            design = VaractorDesign(16e-12, 200e-9, replace(base, inhomogeneity=lam_s))
+            bound = (4.0 / 9.0) * lam_s**2 / eta3
+            for v in (1e-4, 0.01, -1.0):
+                for func in (charge, energy):
+                    drop = (func(v, ideal) - func(v, design)) / func(v, ideal)
+                    # 1e-14: the quadrature rule's rounding.
+                    assert -1e-14 <= drop <= bound + 1e-14, (lam_s, v, func.__name__)
+
+    def test_gauss_legendre_rule_matches_numpy(self):
+        # The eight literal (node, weight) pairs and their mirror images.
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        rule = np.array(qpamp.varactor._GAUSS_LEGENDRE_16)
+        for half in (slice(8, None), slice(7, None, -1)):
+            np.testing.assert_allclose(rule[:, 0], abs(nodes[half]), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(rule[:, 1], weights[half], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("func", [charge, energy, energy_and_derivatives])
+    def test_nan_bias_refused(self, func):
+        # NaN fails every comparison, so only a negated range test refuses it.
+        with pytest.raises(ValueError, match="trusted range"):
+            func(math.nan, STO_DESIGN)
 
 
 class TestInversion:
