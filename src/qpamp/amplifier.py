@@ -1,16 +1,17 @@
 """Reflection gain of the degenerate parametric amplifier.
 
-The pumped resonator is probed in reflection through a single external port.
-With total linewidth ``kappa = kappa_int + kappa_ext``, pump detuning
-``delta0 = omega0 - omega_p / 2`` and signal offset ``dw = omega - omega_p/2``,
-the reflection coefficient below threshold is
+The pumped resonator is probed in reflection through a single external port,
+with the pump at exactly twice the mode frequency, ``omega_p = 2 omega0``.
+With total linewidth ``kappa = kappa_int + kappa_ext`` and signal offset
+``dw = omega - omega0``, the reflection coefficient below threshold is
 
-    R(omega) = [kappa_ext * kappa / 2 + i kappa_ext (delta0 + dw)]
-               / [delta0**2 + (kappa/2 + i dw)**2 - |xi|**2]  -  1.
+    R(omega) = [kappa_ext * kappa / 2 + i kappa_ext dw]
+               / [(kappa/2 + i dw)**2 - |xi|**2]  -  1.
 
-``|R| > 1`` is parametric gain; the pole at ``|xi|**2 = delta0**2 +
-(kappa/2)**2`` is the oscillation threshold and is reported as an error
-rather than an infinity.
+``|R| > 1`` is parametric gain; the pole at ``|xi| = kappa/2`` is the
+oscillation threshold and is reported as an error rather than an infinity.
+|R| is even in dw, so the 3-dB width is twice one half-power offset, the root
+of a quadratic in dw**2.
 
 The linewidths come from the working-point record, `resonator.ModeCoefficients`:
 internal loss from the film's loss tangent, external coupling from q_ext.
@@ -24,7 +25,7 @@ kappa) since both appear in the literature and they differ by ~16 dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, ThresholdError
@@ -51,15 +52,12 @@ __all__ = [
 class RateBudget:
     """Linewidth budget of the amplifier mode at one working point.
 
-    ``delta`` is the half-pump detuning omega0 - omega_p/2 (zero for the
-    standard degenerate operating point, where the pump sits at exactly
-    twice the mode frequency).
+    The pump sits at exactly twice the mode frequency, ``omega_p = 2 omega0``.
     """
 
     omega0: float
     kappa_int: float
     kappa_ext: float
-    delta: float = 0.0
 
     def __post_init__(self):
         for name in ("omega0", "kappa_ext"):
@@ -67,8 +65,6 @@ class RateBudget:
                 raise ConfigurationError(f"rate {name!r} must be finite and positive")
         if not 0.0 <= self.kappa_int < math.inf:
             raise ConfigurationError("rate 'kappa_int' must be finite and non-negative")
-        if not math.isfinite(self.delta):
-            raise ConfigurationError("rate 'delta' must be finite")
 
     @property
     def kappa(self) -> float:
@@ -76,7 +72,7 @@ class RateBudget:
 
     @property
     def omega_p(self) -> float:
-        return 2.0 * (self.omega0 - self.delta)
+        return 2.0 * self.omega0
 
     @property
     def q_int(self) -> float:
@@ -96,7 +92,7 @@ class GridSpec:
 
     def __post_init__(self):
         # An odd count puts a sample on the pumped center, where the 3-dB width is measured.
-        if self.count < 3 or self.count % 2 == 0:
+        if not isinstance(self.count, int) or self.count < 3 or self.count % 2 == 0:
             raise ConfigurationError("grid 'count' must be odd and at least 3")
         if not 0.0 < self.half_span_kappa < math.inf:
             raise ConfigurationError("grid 'half_span_kappa' must be finite and positive")
@@ -140,13 +136,13 @@ def rate_budget(v0: float, design: VaractorDesign, circuit: CircuitParams) -> Ra
     return RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
 
 
-def _above_threshold(xi_mag, half_kappa, delta=0.0):
-    return xi_mag * xi_mag >= delta**2 + half_kappa**2
+def _above_threshold(xi_mag, half_kappa):
+    return xi_mag * xi_mag >= half_kappa**2
 
 
 def _check_threshold(xi_mag: float, rates: RateBudget) -> None:
     half_kappa = rates.kappa / 2.0
-    if _above_threshold(xi_mag, half_kappa, rates.delta):
+    if _above_threshold(xi_mag, half_kappa):
         raise ThresholdError(xi_mag / half_kappa)
 
 
@@ -162,8 +158,8 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
     _check_threshold(xi_mag, rates)
     dw = np.asarray(omega) - rates.omega_p / 2.0
     half_kappa = rates.kappa / 2.0
-    numerator = rates.kappa_ext * half_kappa + 1j * rates.kappa_ext * (rates.delta + dw)
-    denominator = rates.delta**2 + (half_kappa + 1j * dw) ** 2 - xi_mag * xi_mag
+    numerator = rates.kappa_ext * half_kappa + 1j * rates.kappa_ext * dw
+    denominator = (half_kappa + 1j * dw) ** 2 - xi_mag * xi_mag
     result = numerator / denominator - 1.0
     return complex(result) if np.isscalar(omega) else result
 
@@ -172,28 +168,26 @@ def _half_power_offset(rates: RateBudget, xi_mag: float, half: float, max_offset
     """Smallest u = dw/kappa in (0, max_offset] with |R|**2 = half, or NaN.
 
     In units of kappa, R = (N - D)/D with D = (b - u**2) + i u and
-    N - D = (a + u**2) + i (c0 + c1 u), so |N - D|**2 - half |D|**2 is a
-    quartic in u without a cubic term (and even in u when delta = 0).
+    N - D = (a + u**2) + i c u, so |N - D|**2 - half |D|**2 = 0 is the
+    quadratic A w**2 + B w + C = 0 in w = u**2.  Its roots are q/A and C/q
+    with q = -(B + sign(B) sqrt(B**2 - 4AC))/2, which cancels nothing; a peak
+    of exactly 3 dB (A = 0) leaves only C/q.
     """
-    import numpy as np
-
     k = rates.kappa
-    x, d, ke = xi_mag / k, rates.delta / k, rates.kappa_ext / k
-    b = d * d + 0.25 - x * x
+    x, ke = xi_mag / k, rates.kappa_ext / k
+    b = 0.25 - x * x
     a = ke / 2.0 - b
-    c0, c1 = ke * d, ke - 1.0
-    roots = np.roots(
-        (
-            1.0 - half,
-            0.0,
-            2.0 * a + c1 * c1 - half * (1.0 - 2.0 * b),
-            2.0 * c0 * c1,
-            a * a + c0 * c0 - half * b * b,
-        )
-    )
-    real = np.abs(roots.imag) <= 1e-12 * np.abs(roots)
-    u = roots.real[real & (roots.real > 0.0) & (roots.real <= max_offset)]
-    return float(u.min()) if u.size else math.nan
+    c = ke - 1.0
+    A = 1.0 - half
+    B = 2.0 * a + c * c - half * (1.0 - 2.0 * b)
+    C = a * a - half * b * b
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return math.nan
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    roots = ([q / A] if A != 0.0 else []) + ([C / q] if q != 0.0 else [])
+    offsets = [math.sqrt(w) for w in roots if w > 0.0]
+    return min((u for u in offsets if u <= max_offset), default=math.nan)
 
 
 def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSpec()) -> GainProfile:
@@ -213,16 +207,13 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
 
     bandwidth = math.nan
     # A 3-dB width is only meaningful for a curve that peaks at the pumped
-    # center and falls below half power inside the span on both sides.
-    # Detuning skews the curve, but |R(-u; delta)| = |R(u; -delta)|, so the
-    # lower offset is the upper one of the mirrored budget.
+    # center and falls below half power inside the span on both sides; the
+    # curve is even in dw, so the width is twice one half-power offset.
     if i_peak == grid.count // 2:
         half = peak_power / 2.0
         if power[0] < half and power[-1] < half:
-            mirrored = replace(rates, delta=-rates.delta)
-            upper = _half_power_offset(rates, xi_mag, half, grid.half_span_kappa)
-            lower = _half_power_offset(mirrored, xi_mag, half, grid.half_span_kappa)
-            bandwidth = rates.kappa * (upper + lower)
+            offset = _half_power_offset(rates, xi_mag, half, grid.half_span_kappa)
+            bandwidth = 2.0 * rates.kappa * offset
 
     return GainProfile(
         frequencies=frequencies,

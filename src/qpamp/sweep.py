@@ -72,7 +72,7 @@ class SweepSpec:
                 raise ConfigurationError(f"sweep {name!r} must be finite")
         if self.spacing not in ("linear", "log"):
             raise ConfigurationError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.count < 1:
+        if not isinstance(self.count, int) or self.count < 1:
             raise ConfigurationError("sweep 'count' must be >= 1")
         if self.count > 1 and not self.start < self.stop:
             raise ConfigurationError("range is empty: 'start' must be < 'stop'")
@@ -167,7 +167,7 @@ def bias_sweep(
     bad = [name for name, values in columns.items() if not np.isfinite(values).all()]
     if bad:
         raise NumericalError(f"bias sweep column {bad[0]!r} is not finite")
-    # R at the pumped centre (delta = 0); NaN at or beyond threshold, where the divisor is <= 0.
+    # R at the pumped centre; NaN at or beyond threshold, where the divisor is <= 0.
     half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
     with np.errstate(divide="ignore"):
         centre = point.kappa_ext * half_kappa / (half_kappa * half_kappa - xi * xi)

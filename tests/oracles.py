@@ -58,6 +58,16 @@ def riemann_midpoint(func, lo: float, hi: float, panels: int = 20000) -> float:
     return h * math.fsum(func(lo + (i + 0.5) * h) for i in range(panels))
 
 
+def riemann_richardson(func, lo: float, hi: float, panels: int = 20000) -> float:
+    """One Richardson step on `panels`- and `panels/2`-panel midpoint sums.
+
+    It cancels their h**2 error, which for u C(u) reaches 1e-8 relative at
+    10000 panels up to 1 V.
+    """
+    fine, coarse = (riemann_midpoint(func, lo, hi, n) for n in (panels, panels // 2))
+    return (4.0 * fine - coarse) / 3.0
+
+
 def quad_adaptive(func, lo: float, hi: float) -> float:
     """integral_lo^hi func by scipy's adaptive QUADPACK ``quad``, to 1e-13 relative.
 

@@ -21,6 +21,7 @@ from qpamp import (
     rate_budget,
     reflection,
 )
+from qpamp.amplifier import _half_power_offset
 
 TWO_PI = 2.0 * math.pi
 STO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=STO)
@@ -30,6 +31,18 @@ CIRCUIT = CircuitParams(inductance=0.5e-9, q_ext=100.0)
 # A round-number budget used for the reflection checks.
 BUDGET = RateBudget(omega0=TWO_PI * 2e9, kappa_int=TWO_PI * 3.4e6, kappa_ext=TWO_PI * 20.7e6)
 LOSSLESS = RateBudget(omega0=TWO_PI * 2e9, kappa_int=0.0, kappa_ext=TWO_PI * 20e6)
+# Lossy enough (kappa_int = 0.3 kappa) that a weak pump leaves a notch and no 3-dB width.
+SUB_3DB = RateBudget(
+    omega0=TWO_PI * 2e9, kappa_int=0.3 * TWO_PI * 20e6, kappa_ext=0.7 * TWO_PI * 20e6
+)
+# Rounded from the KTO reference working point: 4.9 GHz, 0.7 MHz and 48.9 MHz.
+KTO_LIKE = RateBudget(omega0=TWO_PI * 4.9e9, kappa_int=TWO_PI * 0.7e6, kappa_ext=TWO_PI * 48.9e6)
+
+
+def power_at(rates, xi):
+    """|R|**2 as a function of the offset from the pumped centre, in units of kappa."""
+    center = rates.omega_p / 2.0
+    return lambda u: abs(reflection(center + u * rates.kappa, xi, rates)) ** 2
 
 
 class TestRateBudget:
@@ -54,7 +67,7 @@ class TestRateBudget:
         "name, value",
         [
             (name, value)
-            for name in ("omega0", "kappa_int", "kappa_ext", "delta")
+            for name in ("omega0", "kappa_int", "kappa_ext")
             for value in (math.nan, math.inf, -math.inf)
         ]
         + [("omega0", 0.0), ("kappa_ext", 0.0), ("kappa_int", -1.0)],
@@ -66,8 +79,6 @@ class TestRateBudget:
     def test_derived_fields(self):
         assert BUDGET.kappa == BUDGET.kappa_int + BUDGET.kappa_ext
         assert BUDGET.omega_p == 2.0 * BUDGET.omega0
-        detuned = RateBudget(BUDGET.omega0, BUDGET.kappa_int, BUDGET.kappa_ext, delta=1e7)
-        assert detuned.omega_p == 2.0 * (BUDGET.omega0 - 1e7)
         assert LOSSLESS.q_int == math.inf
 
 
@@ -81,7 +92,7 @@ class TestReflection:
         r = reflection(BUDGET.omega_p / 2.0, 0.0, BUDGET)
         want = (BUDGET.kappa_ext - BUDGET.kappa_int) / BUDGET.kappa
         assert isinstance(r, complex)
-        assert r.real == pytest.approx(want, rel=1e-12)
+        assert r.real == pytest.approx(want, rel=1e-12, abs=0.0)
         assert r.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_direct_formula(self):
@@ -94,7 +105,7 @@ class TestReflection:
                 BUDGET.kappa_ext * BUDGET.kappa / 2.0 + 1j * BUDGET.kappa_ext * dw
             ) / ((BUDGET.kappa / 2.0 + 1j * dw) ** 2 - xi * xi) - 1.0
             got = reflection(omega, xi, BUDGET)
-            assert got == pytest.approx(want, rel=1e-14)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_vectorized_equals_scalar(self):
         xi = 0.8 * BUDGET.kappa / 2.0
@@ -110,7 +121,7 @@ class TestReflection:
             dw = frac * BUDGET.kappa
             left = reflection(BUDGET.omega_p / 2.0 - dw, xi, BUDGET)
             right = reflection(BUDGET.omega_p / 2.0 + dw, xi, BUDGET)
-            assert abs(left) == pytest.approx(abs(right), rel=1e-12)
+            assert abs(left) == pytest.approx(abs(right), rel=1e-12, abs=0.0)
 
     def test_gain_grows_toward_threshold(self):
         center = BUDGET.omega_p / 2.0
@@ -138,14 +149,6 @@ class TestReflection:
         with pytest.raises(ValueError):
             profile_from_rates(BUDGET, math.nan)
 
-    def test_detuning_raises_threshold(self):
-        # With delta != 0 a pump at kappa/2 is still below threshold.
-        detuned = RateBudget(
-            BUDGET.omega0, BUDGET.kappa_int, BUDGET.kappa_ext, delta=BUDGET.kappa
-        )
-        r = reflection(detuned.omega_p / 2.0, detuned.kappa / 2.0, detuned)
-        assert np.isfinite(r.real) and np.isfinite(r.imag)
-
 
 class TestGainProfile:
     def test_flat_when_lossless_and_unpumped(self):
@@ -160,7 +163,7 @@ class TestGainProfile:
         center = BUDGET.omega_p / 2.0
         want_db = 20.0 * math.log10(abs(reflection(center, xi, BUDGET)))
         assert profile.peak_gain_db == pytest.approx(want_db, rel=1e-9)
-        assert profile.pump_ratio == pytest.approx(0.9, rel=1e-12)
+        assert profile.pump_ratio == pytest.approx(0.9, rel=1e-12, abs=0.0)
 
     def test_bandwidth_against_interpolated_scan(self):
         xi = 0.9 * BUDGET.kappa / 2.0
@@ -185,49 +188,67 @@ class TestGainProfile:
         ]
         assert widths[0] > widths[1] > widths[2] > 0.0
 
-    @pytest.mark.parametrize("delta_kappa", [0.0, 0.5, -0.5])
-    @pytest.mark.parametrize("ratio", [0.9, 0.95, 0.99])
-    def test_bandwidth_against_bisection(self, delta_kappa, ratio):
-        kappa = BUDGET.kappa
-        rates = RateBudget(BUDGET.omega0, BUDGET.kappa_int, BUDGET.kappa_ext, delta=delta_kappa * kappa)
-        xi = ratio * math.hypot(rates.delta, kappa / 2.0)
+    @pytest.mark.parametrize(
+        "rates",
+        [BUDGET, LOSSLESS, SUB_3DB, KTO_LIKE],
+        ids=["budget", "lossless", "sub_3db", "kto_like"],
+    )
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_bandwidth_against_bisection(self, rates, ratio):
+        kappa = rates.kappa
+        xi = ratio * kappa / 2.0
         profile = profile_from_rates(rates, xi)
         half = float(np.max(np.abs(profile.reflection) ** 2)) / 2.0
-        center = rates.omega_p / 2.0
-
-        def power(u):
-            return abs(reflection(center + u * kappa, xi, rates)) ** 2
-
-        # Detuning skews the curve, so each side is bisected on its own.
+        power = power_at(rates, xi)
         span = GridSpec().half_span_kappa
         upper = first_crossing_bisect(power, half, span)
-        lower = first_crossing_bisect(lambda u: power(-u), half, span)
-        assert math.isfinite(upper) and math.isfinite(lower)
-        assert abs(profile.bandwidth / kappa - (upper + lower)) <= 1e-9
+        if math.isnan(upper) or power(span) >= half:
+            assert math.isnan(profile.bandwidth)
+        else:
+            # The curve is even in the offset, so the width is twice the upper crossing.
+            assert abs(profile.bandwidth / kappa - 2.0 * upper) <= 1e-9
 
-    def test_detuned_bandwidth_is_the_full_width(self):
-        # |R(-u; delta)| = |R(u; -delta)|: opposite detunings give mirrored
-        # curves and so the same full width.
-        widths = []
-        for sign in (1.0, -1.0):
-            rates = RateBudget(
-                BUDGET.omega0, BUDGET.kappa_int, BUDGET.kappa_ext, delta=sign * 0.5 * BUDGET.kappa
-            )
-            xi = 0.9 * math.hypot(rates.delta, rates.kappa / 2.0)
-            widths.append(profile_from_rates(rates, xi).bandwidth / rates.kappa)
-        assert widths[0] == pytest.approx(0.21547, abs=1e-5)
-        assert widths[1] == pytest.approx(widths[0], rel=1e-12)
+    def test_bandwidth_at_a_3db_peak(self):
+        # A peak of 3 dB puts the half-power level at |R|**2 = 1, where the
+        # quadratic in u**2 loses its leading coefficient.
+        # R(0) = (kappa_ext / kappa) / (2 (1/4 - (xi/kappa)**2)) - 1 = sqrt(2).
+        kappa = BUDGET.kappa
+        xi = kappa * math.sqrt(0.25 - 0.5 * BUDGET.kappa_ext / kappa / (1.0 + math.sqrt(2.0)))
+        profile = profile_from_rates(BUDGET, xi)
+        assert profile.peak_gain_db == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)
+        power = power_at(BUDGET, xi)
+        span = GridSpec().half_span_kappa
+        upper = first_crossing_bisect(power, 1.0, span)
+        assert power(span) < 1.0
+        assert abs(profile.bandwidth / kappa - 2.0 * upper) <= 1e-9
+        # With the level exactly 1 the leading coefficient is exactly 0.
+        assert abs(_half_power_offset(BUDGET, xi, 1.0, span) - upper) <= 1e-9
+
+    def test_sub_3db_peak_in_a_narrow_span(self):
+        # Critically coupled, a 2.4 dB peak falls below half power near 0.26
+        # kappa and climbs back above it near 1.1 kappa, so a span of +-kappa
+        # holds one crossing on each side and the width exists.
+        rates = RateBudget(BUDGET.omega0, TWO_PI * 10e6, TWO_PI * 10e6)
+        xi = 0.755 * rates.kappa / 2.0
+        profile = profile_from_rates(rates, xi, GridSpec(half_span_kappa=1.0))
+        assert profile.peak_gain_db < 10.0 * math.log10(2.0)
+        half = float(np.max(np.abs(profile.reflection) ** 2)) / 2.0
+        power = power_at(rates, xi)
+        upper = first_crossing_bisect(power, half, 1.0)
+        assert power(1.2) > half
+        assert abs(profile.bandwidth / rates.kappa - 2.0 * upper) <= 1e-9
 
     def test_centered_bandwidth_unchanged(self):
-        # Full width at zero detuning, as computed before the two half-power
-        # offsets were found separately (twice the upper one).
+        # Full width as computed from the roots of the quartic in u.
         profile = profile_from_rates(BUDGET, 0.9 * BUDGET.kappa / 2.0)
-        assert profile.bandwidth / BUDGET.kappa == pytest.approx(0.10108489170841178, rel=1e-12)
+        assert profile.bandwidth / BUDGET.kappa == pytest.approx(
+            0.10108489170841178, rel=1e-12, abs=0.0
+        )
 
     def test_sub_3db_peak_has_no_bandwidth(self):
         # The curve dips below half power inside the span but is back above
         # it at the span edge, so it has no 3-dB width there.
-        rates = RateBudget(BUDGET.omega0, 0.3 * TWO_PI * 20e6, 0.7 * TWO_PI * 20e6)
+        rates = SUB_3DB
         profile = profile_from_rates(rates, 0.64 * rates.kappa / 2.0)
         power = np.abs(profile.reflection) ** 2
         assert profile.peak_gain_db < 10.0 * math.log10(2.0)
@@ -266,6 +287,11 @@ class TestGainProfile:
         ):
             with pytest.raises(ConfigurationError, match=f"'{field}'"):
                 GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("count", [math.nan, 801.0])
+    def test_grid_rejects_a_non_integer_count(self, count):
+        with pytest.raises(ConfigurationError, match="grid 'count' must be odd and at least 3"):
+            GridSpec(count=count)
 
 
 class TestCompression:

@@ -57,8 +57,8 @@ class TestEta:
         # Oracle: direct evaluation of (theta/T_c) sqrt(1/16 + (T/theta)^2) - 1.
         want_sto = (175.0 / 42.0) * math.sqrt(1.0 / 16.0 + (0.01 / 175.0) ** 2) - 1.0
         want_kto = (170.0 / 32.5) * math.sqrt(1.0 / 16.0 + (0.01 / 170.0) ** 2) - 1.0
-        assert eta(STO) == pytest.approx(want_sto, rel=1e-15)
-        assert eta(KTO) == pytest.approx(want_kto, rel=1e-15)
+        assert eta(STO) == pytest.approx(want_sto, rel=1e-15, abs=0.0)
+        assert eta(KTO) == pytest.approx(want_kto, rel=1e-15, abs=0.0)
         # T -> 0 limits: 175/168 - 1 = 1/24 and 170/130 - 1 = 4/13.
         assert eta(STO) == pytest.approx(1.0 / 24.0, rel=1e-6)
         assert eta(KTO) == pytest.approx(4.0 / 13.0, rel=1e-6)
@@ -83,7 +83,7 @@ class TestNormalizedBias:
 
     def test_reference_point(self):
         assert normalized_bias(E_STO_OPT, STO) == pytest.approx(
-            math.hypot(0.018, E_STO_OPT / 1.93e6), rel=1e-15
+            math.hypot(0.018, E_STO_OPT / 1.93e6), rel=1e-15, abs=0.0
         )
         assert normalized_bias(E_STO_OPT, STO) == pytest.approx(0.0300747, rel=1e-5)
 
@@ -94,7 +94,7 @@ class TestNormalizedBias:
 class TestGreens:
     def test_zero_bias_closed_form(self):
         for eta_val in (eta(STO), eta(KTO), 1e-3, 5.0):
-            assert greens(0.0, eta_val) == pytest.approx(1.0 / eta_val, rel=1e-14)
+            assert greens(0.0, eta_val) == pytest.approx(1.0 / eta_val, rel=1e-14, abs=0.0)
 
     def test_reference_values_against_bisection(self):
         # Frozen from the bisection oracle (200 halvings of the cubic).
@@ -105,7 +105,7 @@ class TestGreens:
         for eta_val in (eta(STO), eta(KTO), 1e-3, 5.0):
             for lam in np.geomspace(1e-8, 10.0, 40):
                 assert greens(lam, eta_val) == pytest.approx(
-                    greens_bisect(lam, eta_val), rel=1e-12
+                    greens_bisect(lam, eta_val), rel=1e-12, abs=0.0
                 )
 
     def test_monotone_decreasing(self):
@@ -119,8 +119,12 @@ class TestDisplacement:
         assert displacement(0.0, eta(STO)) == 0.0
 
     def test_reference_values_against_bisection(self):
-        assert displacement(0.018, eta(STO)) == pytest.approx(0.2118916501337385, rel=1e-12)
-        assert displacement(0.020, eta(KTO)) == pytest.approx(0.04324571067211294, rel=1e-12)
+        assert displacement(0.018, eta(STO)) == pytest.approx(
+            0.2118916501337385, rel=1e-12, abs=0.0
+        )
+        assert displacement(0.020, eta(KTO)) == pytest.approx(
+            0.04324571067211294, rel=1e-12, abs=0.0
+        )
         # Value at the KTO working point, quoted to two figures elsewhere.
         lam = normalized_bias(E_KTO_OPT, KTO)
         assert displacement(lam, eta(KTO)) == pytest.approx(0.394, rel=2e-3)
@@ -192,7 +196,7 @@ class TestDerivatives:
                     + permittivity(field - h, mat)
                 ) / (h * h)
                 assert d1 == pytest.approx(fd1, rel=1e-5)
-                assert d2 == pytest.approx(fd2, rel=1e-4)
+                assert d2 == pytest.approx(fd2, rel=1e-4, abs=0.0)
 
     def test_zero_bias_odd_part_vanishes(self):
         for mat in (STO, KTO, lossless()):
@@ -208,7 +212,7 @@ class TestDerivatives:
         eta_val = eta(mat)
         assert d1 == 0.0
         assert d2 == pytest.approx(
-            -(8.0 / 9.0) * mat.eps00_rel / (eta_val**4 * mat.renorm_field**2), rel=1e-12
+            -(8.0 / 9.0) * mat.eps00_rel / (eta_val**4 * mat.renorm_field**2), rel=1e-12, abs=0.0
         )
 
 
@@ -221,8 +225,8 @@ class TestLoss:
         g = greens_bisect(lam, eta(STO))
         want1 = STO.a1 * (STO.temperature / STO.curie_temp) ** 2 * g**1.5
         want2 = STO.a2 * y * y * g
-        assert resp.tan_delta_1 == pytest.approx(want1, rel=1e-12)
-        assert resp.tan_delta_2 == pytest.approx(want2, rel=1e-12)
+        assert resp.tan_delta_1 == pytest.approx(want1, rel=1e-12, abs=0.0)
+        assert resp.tan_delta_2 == pytest.approx(want2, rel=1e-12, abs=0.0)
         assert resp.tan_delta_3 == 0.0
         assert resp.loss_tangent == pytest.approx(1.64e-3, rel=0.01)
         assert 1.0 / resp.loss_tangent == pytest.approx(6.1e2, rel=0.03)
@@ -245,7 +249,7 @@ class TestLoss:
         doped = lossless(a2=1e-3, a3=2e-4, defect_density=0.5, inhomogeneity=0.01)
         resp = dielectric_response(1e5, doped)
         g = resp.eps_rel / doped.eps00_rel
-        assert resp.tan_delta_3 == pytest.approx(2e-4 * 0.5 * g, rel=1e-15)
+        assert resp.tan_delta_3 == pytest.approx(2e-4 * 0.5 * g, rel=1e-15, abs=0.0)
 
     def test_defect_density_without_a3(self):
         # Refused where it is set, before any evaluation of the chain.

@@ -52,16 +52,16 @@ class TestMode:
         m = mode(9.3e-3, STO_DESIGN, CIRCUIT)
         assert m.omega0 == pytest.approx(1.0 / math.sqrt(0.5e-9 * c), rel=1e-12)
         assert m.z0 == pytest.approx(math.sqrt(0.5e-9 / c), rel=1e-12)
-        assert m.q_zpf == pytest.approx(math.sqrt(hbar / (2.0 * m.z0)), rel=1e-12)
-        assert m.v_zpf == pytest.approx(m.q_zpf / c, rel=1e-12)
+        assert m.q_zpf == pytest.approx(math.sqrt(hbar / (2.0 * m.z0)), rel=1e-12, abs=0.0)
+        assert m.v_zpf == pytest.approx(m.q_zpf / c, rel=1e-12, abs=0.0)
 
     def test_zero_point_invariants(self):
         for v0 in (0.0, 9.3e-3, 0.1):
             m = mode(v0, STO_DESIGN, CIRCUIT)
-            assert m.q_zpf * m.phi_zpf == pytest.approx(hbar / 2.0, rel=1e-12)
+            assert m.q_zpf * m.phi_zpf == pytest.approx(hbar / 2.0, rel=1e-12, abs=0.0)
             c = capacitance(v0, STO_DESIGN)
             assert m.omega0 * m.z0 == pytest.approx(1.0 / c, rel=1e-12)
-            assert m.v_zpf == pytest.approx(m.q_zpf / c, rel=1e-12)
+            assert m.v_zpf == pytest.approx(m.q_zpf / c, rel=1e-12, abs=0.0)
             assert m.xi == 0.0j and m.k_eff == 0.0
 
     def test_frequency_increases_with_bias(self):

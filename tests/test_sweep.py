@@ -42,8 +42,8 @@ class TestSweepSpec:
     def test_points_log(self):
         spec = SweepSpec("plate_separation", 1e-7, 1e-4, 4, spacing="log")
         pts = spec.points()
-        assert pts[0] == pytest.approx(1e-7, rel=1e-12)
-        assert pts[-1] == pytest.approx(1e-4, rel=1e-12)
+        assert pts[0] == pytest.approx(1e-7, rel=1e-12, abs=0.0)
+        assert pts[-1] == pytest.approx(1e-4, rel=1e-12, abs=0.0)
         assert pts[1] / pts[0] == pytest.approx(10.0, rel=1e-9)
 
     def test_single_point(self):
@@ -74,6 +74,11 @@ class TestSweepSpec:
         spec = SweepSpec("bias_voltage", 0.0, 0.25, 3)
         with pytest.raises(ConfigurationError, match=name):
             SweepSpec(**{**spec.__dict__, name: value})
+
+    @pytest.mark.parametrize("count", [2.5, math.inf])
+    def test_rejects_a_non_integer_count(self, count):
+        with pytest.raises(ConfigurationError, match="sweep 'count' must be >= 1"):
+            SweepSpec("bias_voltage", 0.0, 0.1, count)
 
 
 class TestBiasSweep:
@@ -293,7 +298,7 @@ class TestGeometrySweep:
             best.xi_max / TWO_PI / 1e6, rel=1e-12
         )
         assert row[result.columns.index("keff_zero_hz")] == pytest.approx(
-            kerr_strength(0.0, STO_DESIGN, CIRCUIT) / TWO_PI, rel=1e-12
+            kerr_strength(0.0, STO_DESIGN, CIRCUIT) / TWO_PI, rel=1e-12, abs=0.0
         )
 
     def test_one_search_per_sweep(self, monkeypatch):
@@ -307,7 +312,7 @@ class TestGeometrySweep:
         spec = SweepSpec("plate_separation", 1e-7, 1e-4, 12, spacing="log")
         geometry_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE)
         assert len(calls) == 1
-        assert calls[0][0].thickness == pytest.approx(1e-4, rel=1e-12)
+        assert calls[0][0].thickness == pytest.approx(1e-4, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("design", [STO_DESIGN, KTO_DESIGN], ids=["sto", "kto"])
     def test_rows_match_direct_optima(self, design):

@@ -13,6 +13,7 @@ from oracles import (
     invert_bisect,
     quad_adaptive,
     riemann_midpoint,
+    riemann_richardson,
 )
 from qpamp import (
     KTO,
@@ -47,39 +48,39 @@ GRID_BIASES = [s * 10.0 ** (k / 2.0 - 6.0) for k in range(13) for s in (1.0, -1.
 class TestCapacitance:
     def test_endpoints(self):
         # Quoted design values for a (4 um)^2 plate on a 200 nm film.
-        assert capacitance(0.0, STO_DESIGN) == pytest.approx(17.2e-12, rel=0.02)
-        assert capacitance(0.25, STO_DESIGN) == pytest.approx(1.28e-12, rel=0.02)
-        assert capacitance(0.0, KTO_DESIGN) == pytest.approx(3.18e-12, rel=0.02)
-        assert capacitance(0.25, KTO_DESIGN) == pytest.approx(0.86e-12, rel=0.02)
+        assert capacitance(0.0, STO_DESIGN) == pytest.approx(17.2e-12, rel=0.02, abs=0.0)
+        assert capacitance(0.25, STO_DESIGN) == pytest.approx(1.28e-12, rel=0.02, abs=0.0)
+        assert capacitance(0.0, KTO_DESIGN) == pytest.approx(3.18e-12, rel=0.02, abs=0.0)
+        assert capacitance(0.25, KTO_DESIGN) == pytest.approx(0.86e-12, rel=0.02, abs=0.0)
 
     def test_endpoints_against_bisection_oracle(self):
         # eps0 * eps00_rel * G_oracle * A / d with G from the cubic-bisection
         # oracle (values frozen; see oracles.cubic_root_bisect).
         scale = epsilon_0 * 16e-12 / 200e-9
         assert capacitance(0.0, STO_DESIGN) == pytest.approx(
-            scale * 2080.0 * 11.552044262296844, rel=1e-12
+            scale * 2080.0 * 11.552044262296844, rel=1e-12, abs=0.0
         )
         assert capacitance(0.25, STO_DESIGN) == pytest.approx(
-            scale * 2080.0 * 0.8707599390832804, rel=1e-12
+            scale * 2080.0 * 0.8707599390832804, rel=1e-12, abs=0.0
         )
         assert capacitance(0.0, KTO_DESIGN) == pytest.approx(
-            scale * 1390.0 * 3.230365065859695, rel=1e-12
+            scale * 1390.0 * 3.230365065859695, rel=1e-12, abs=0.0
         )
         assert capacitance(0.25, KTO_DESIGN) == pytest.approx(
-            scale * 1390.0 * 0.8765326065861689, rel=1e-12
+            scale * 1390.0 * 0.8765326065861689, rel=1e-12, abs=0.0
         )
 
     def test_working_point(self):
-        assert capacitance(9.3e-3, STO_DESIGN) == pytest.approx(11.8e-12, rel=0.01)
+        assert capacitance(9.3e-3, STO_DESIGN) == pytest.approx(11.8e-12, rel=0.01, abs=0.0)
 
     def test_geometry_scaling(self):
         double_area = VaractorDesign(32e-12, 200e-9, STO)
         assert capacitance(0.0, double_area) == pytest.approx(
-            2.0 * capacitance(0.0, STO_DESIGN), rel=1e-15
+            2.0 * capacitance(0.0, STO_DESIGN), rel=1e-15, abs=0.0
         )
         double_gap = VaractorDesign(16e-12, 400e-9, STO)
         assert capacitance(0.0, double_gap) == pytest.approx(
-            0.5 * capacitance(0.0, STO_DESIGN), rel=1e-15
+            0.5 * capacitance(0.0, STO_DESIGN), rel=1e-15, abs=0.0
         )
 
     def test_even_in_voltage(self):
@@ -94,20 +95,22 @@ class TestCharge:
     def test_linear_limit(self):
         v = 1e-6
         assert charge(v, STO_DESIGN) == pytest.approx(
-            capacitance(0.0, STO_DESIGN) * v, rel=1e-3
+            capacitance(0.0, STO_DESIGN) * v, rel=1e-3, abs=0.0
         )
 
     def test_against_riemann_oracle(self):
         # Frozen 20000-panel midpoint sums of eps0 eps_r(v/d) A/d over [0, 0.25].
-        assert charge(0.25, STO_DESIGN) == pytest.approx(8.05005446973035e-13, rel=1e-9)
-        assert charge(0.25, KTO_DESIGN) == pytest.approx(4.19503561759502e-13, rel=1e-9)
+        assert charge(0.25, STO_DESIGN) == pytest.approx(8.05005446973035e-13, rel=1e-9, abs=0.0)
+        assert charge(0.25, KTO_DESIGN) == pytest.approx(4.19503561759502e-13, rel=1e-9, abs=0.0)
         # And a live midpoint sum at the working point.
         live = riemann_midpoint(lambda u: capacitance(u, STO_DESIGN), 0.0, 9.3e-3, 4000)
-        assert charge(9.3e-3, STO_DESIGN) == pytest.approx(live, rel=1e-9)
+        assert charge(9.3e-3, STO_DESIGN) == pytest.approx(live, rel=1e-9, abs=0.0)
 
     def test_odd(self):
         for v in (1e-3, 0.1, 0.25):
-            assert charge(-v, STO_DESIGN) == pytest.approx(-charge(v, STO_DESIGN), rel=1e-13)
+            assert charge(-v, STO_DESIGN) == pytest.approx(
+                -charge(v, STO_DESIGN), rel=1e-13, abs=0.0
+            )
 
     def test_derivative_is_capacitance(self):
         rng = np.random.default_rng(20260814)
@@ -115,7 +118,7 @@ class TestCharge:
             for v in rng.uniform(-0.25, 0.25, 25):
                 h = 1e-5 * max(abs(v), 1e-3)
                 fd = (charge(v + h, design) - charge(v - h, design)) / (2.0 * h)
-                assert fd == pytest.approx(capacitance(v, design), rel=1e-8)
+                assert fd == pytest.approx(capacitance(v, design), rel=1e-8, abs=0.0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -134,15 +137,9 @@ class TestCharge:
 
     @pytest.mark.parametrize("v", [1e-3, 0.05, -0.25, 1.0])
     def test_ideal_closed_forms_against_riemann_oracle(self, v):
-        # One Richardson step on 10000- and 20000-panel midpoint sums cancels
-        # their h**2 error, which reaches 1e-8 for u C(u) up to 1 V; what is
-        # left of the oracle's error stays below 1e-12.
-        def live(func):
-            fine, coarse = (riemann_midpoint(func, 0.0, v, n) for n in (20000, 10000))
-            return (4.0 * fine - coarse) / 3.0
-
-        q_ref = live(lambda u: capacitance(u, IDEAL_DESIGN))
-        u_ref = live(lambda u: u * capacitance(u, IDEAL_DESIGN))
+        # What is left of the Richardson oracle's error stays below 1e-12.
+        q_ref = riemann_richardson(lambda u: capacitance(u, IDEAL_DESIGN), 0.0, v)
+        u_ref = riemann_richardson(lambda u: u * capacitance(u, IDEAL_DESIGN), 0.0, v)
         assert charge(v, IDEAL_DESIGN) == pytest.approx(q_ref, rel=1e-11, abs=0.0)
         assert energy(v, IDEAL_DESIGN) == pytest.approx(u_ref, rel=1e-11, abs=0.0)
 
@@ -184,10 +181,10 @@ class TestInversion:
         for design in (STO_DESIGN, KTO_DESIGN):
             for v in (1e-3, 1e-2, 0.1, 0.25):
                 assert voltage_from_charge(charge(v, design), design) == pytest.approx(
-                    v, rel=1e-10
+                    v, rel=1e-10, abs=0.0
                 )
                 assert voltage_from_charge(charge(-v, design), design) == pytest.approx(
-                    -v, rel=1e-10
+                    -v, rel=1e-10, abs=0.0
                 )
 
     def test_outside_bracket(self):
@@ -201,7 +198,7 @@ class TestInversion:
         design = DESIGNS[name]
         q = charge(v, design)
         expected = invert_bisect(lambda u: charge(u, design), q, design.v_max)
-        assert voltage_from_charge(q, design) == pytest.approx(expected, rel=1e-12)
+        assert voltage_from_charge(q, design) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_window_edges_invert(self, name):
@@ -245,13 +242,15 @@ class TestInversion:
 class TestEnergy:
     def test_zero_and_even(self):
         assert energy(0.0, STO_DESIGN) == 0.0
-        assert energy(-0.1, STO_DESIGN) == pytest.approx(energy(0.1, STO_DESIGN), rel=1e-12)
+        assert energy(-0.1, STO_DESIGN) == pytest.approx(
+            energy(0.1, STO_DESIGN), rel=1e-12, abs=0.0
+        )
 
     def test_against_riemann_oracle(self):
-        live = riemann_midpoint(
-            lambda u: u * capacitance(u, STO_DESIGN), 0.0, 0.1, 8000
-        )
-        assert energy(0.1, STO_DESIGN) == pytest.approx(live, rel=1e-9)
+        # A plain 8000-panel midpoint sum is 5.8e-9 off here; the Richardson
+        # step brings it to about 4e-15.
+        live = riemann_richardson(lambda u: u * capacitance(u, STO_DESIGN), 0.0, 0.1, 8000)
+        assert energy(0.1, STO_DESIGN) == pytest.approx(live, rel=1e-9, abs=0.0)
 
     def test_derivative_is_voltage(self):
         # dU/dq = v, with the derivative taken numerically through the
@@ -298,8 +297,8 @@ class TestEnergyExpansion:
 
     def test_fields(self):
         point = energy_and_derivatives(9.3e-3, STO_DESIGN)
-        assert point.charge == pytest.approx(charge(9.3e-3, STO_DESIGN), rel=1e-12)
-        assert point.energy == pytest.approx(energy(9.3e-3, STO_DESIGN), rel=1e-12)
+        assert point.charge == pytest.approx(charge(9.3e-3, STO_DESIGN), rel=1e-12, abs=0.0)
+        assert point.energy == pytest.approx(energy(9.3e-3, STO_DESIGN), rel=1e-12, abs=0.0)
 
 
 class TestDerivativeCrossChecks:
@@ -310,8 +309,8 @@ class TestDerivativeCrossChecks:
             for v0 in (5e-3, 9.3e-3, 0.05, 0.15):
                 _, c1, c2 = capacitance_derivatives(v0, design)
                 f = lambda v: capacitance(v, design)
-                assert fd6_first(f, v0, 3e-4) == pytest.approx(c1, rel=1e-6)
-                assert fd6_second(f, v0, 3e-4) == pytest.approx(c2, rel=1e-6)
+                assert fd6_first(f, v0, 3e-4) == pytest.approx(c1, rel=1e-6, abs=0.0)
+                assert fd6_second(f, v0, 3e-4) == pytest.approx(c2, rel=1e-6, abs=0.0)
 
     def test_richardson_helper(self):
         # The Richardson helper runs with a much smaller step, so its second
@@ -321,8 +320,8 @@ class TestDerivativeCrossChecks:
             fd1, fd2 = finite_difference_capacitance_derivatives(
                 lambda v: capacitance(v, STO_DESIGN), v0
             )
-            assert fd1 == pytest.approx(c1, rel=1e-8)
-            assert fd2 == pytest.approx(c2, rel=1e-4)
+            assert fd1 == pytest.approx(c1, rel=1e-8, abs=0.0)
+            assert fd2 == pytest.approx(c2, rel=1e-4, abs=0.0)
 
     def test_odd_even_structure(self):
         c_p, c1_p, c2_p = capacitance_derivatives(0.1, STO_DESIGN)
