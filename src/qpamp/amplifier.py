@@ -164,14 +164,16 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
     return complex(result) if np.isscalar(omega) else result
 
 
-def _half_power_offset(rates: RateBudget, xi_mag: float, half: float, max_offset: float) -> float:
-    """Smallest u = dw/kappa in (0, max_offset] with |R|**2 = half, or NaN.
+def _half_power_offset(rates: RateBudget, xi_mag: float, half: float) -> float:
+    """The offset u = dw/kappa > 0 where |R|**2 first falls to ``half``.
 
     In units of kappa, R = (N - D)/D with D = (b - u**2) + i u and
     N - D = (a + u**2) + i c u, so |N - D|**2 - half |D|**2 = 0 is the
-    quadratic A w**2 + B w + C = 0 in w = u**2.  Its roots are q/A and C/q
-    with q = -(B + sign(B) sqrt(B**2 - 4AC))/2, which cancels nothing; a peak
-    of exactly 3 dB (A = 0) leaves only C/q.
+    quadratic A w**2 + B w + C = 0 in w = u**2.  The caller has checked that
+    the curve peaks at the centre (so C > 0) and falls below ``half`` inside
+    the span: B < 0 then, and the first crossing is the smaller positive
+    root, C/q with q = (sqrt(B**2 - 4AC) - B)/2, which cancels nothing and
+    holds for a peak of exactly 3 dB (A = 0) too.
     """
     k = rates.kappa
     x, ke = xi_mag / k, rates.kappa_ext / k
@@ -181,13 +183,8 @@ def _half_power_offset(rates: RateBudget, xi_mag: float, half: float, max_offset
     A = 1.0 - half
     B = 2.0 * a + c * c - half * (1.0 - 2.0 * b)
     C = a * a - half * b * b
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        return math.nan
-    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-    roots = ([q / A] if A != 0.0 else []) + ([C / q] if q != 0.0 else [])
-    offsets = [math.sqrt(w) for w in roots if w > 0.0]
-    return min((u for u in offsets if u <= max_offset), default=math.nan)
+    q = 0.5 * (math.sqrt(B * B - 4.0 * A * C) - B)
+    return math.sqrt(C / q)
 
 
 def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSpec()) -> GainProfile:
@@ -212,7 +209,7 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
     if i_peak == grid.count // 2:
         half = peak_power / 2.0
         if power[0] < half and power[-1] < half:
-            offset = _half_power_offset(rates, xi_mag, half, grid.half_span_kappa)
+            offset = _half_power_offset(rates, xi_mag, half)
             bandwidth = 2.0 * rates.kappa * offset
 
     return GainProfile(

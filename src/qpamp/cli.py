@@ -209,6 +209,13 @@ def cmd_sweep(run: Run) -> None:
     """Bias-voltage or plate-separation sweep table."""
     tabulate = bias_sweep if run.sweep.variable == "bias_voltage" else geometry_sweep
     result = tabulate(run.sweep, run.design, run.circuit, run.drive)
+    if result.on_window_edge:
+        field = result.column("v0_max_mv")[0] / result.column("d_nm")[0]  # mV/nm = V/um
+        print(
+            f"qpamp: warning: working-point field {field:.6g} V/um is on the edge of the search "
+            "window of the plate-separation sweep; |xi| may peak outside it",
+            file=sys.stderr,
+        )
     _write_csv(run, "sweep", result.columns, result.rows)
 
 

@@ -4,7 +4,8 @@ Every sweep produces a `SweepResult`: an ordered, column-labelled table of
 floats, ready for CSV serialisation.  Bias and
 bias-field tables are computed by column, from one array evaluation of the
 chain (for bias, the working-point record of `resonator.operating_point`);
-plate-separation rows (each a different design) are computed in order.
+plate-separation rows follow from one working-point record through the
+exact scaling laws at fixed plate_area/thickness.
 Sweeps run on the calling thread; ``workers`` is None or a positive integer.
 
 Column values are in display units (mV, pF, GHz, MHz, Hz, dB) as indicated
@@ -95,11 +96,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered, column-labelled table of sweep rows."""
+    """Ordered, column-labelled table of sweep rows; ``on_window_edge`` is the
+    `Optimum.on_window_edge` of the search that a `geometry_sweep` table rests on."""
 
     variable: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
+    on_window_edge: bool = False
 
     def column(self, name: str) -> list[float]:
         i = self.columns.index(name)
@@ -281,62 +284,49 @@ def geometry_sweep(
 ) -> SweepResult:
     """Optimised couplings versus film thickness at fixed plate_area/thickness.
 
-    Each row rescales the reference design to a new plate separation d
-    (keeping A/d, and with it the zero-bias capacitance, fixed), biases it
-    at the optimum field E* of the working-point search, and records the
-    couplings there alongside the zero-bias Kerr strength.  The swept
-    variable must be ``plate_separation`` (values in metres).
+    At fixed A/d, C(v; d) depends on v/d only: every film thickness d peaks at
+    the same bias field E* with the same mode frequency, and |xi| and the
+    zero-bias K_eff scale as 1/d and 1/d**2 exactly.  So one search on the
+    thickest film finds E*, and that film's working-point record and zero-bias
+    Kerr strength give every row through those laws; ``on_window_edge`` is the
+    search's.  The swept variable must be ``plate_separation`` (values in metres).
     """
     if spec.variable != "plate_separation":
         raise ConfigurationError(
             f"geometry_sweep needs variable 'plate_separation', got {spec.variable!r}"
         )
     _check_workers(workers)
-    area_ratio = design.plate_area / design.thickness
-    # Keep the *field* window of the reference search fixed so the optimum
-    # stays inside the trusted range as the film thickens.
-    field_max = 0.25 / design.thickness
-
-    def scaled(thickness: float) -> VaractorDesign:
-        return replace(
-            design,
-            plate_area=area_ratio * thickness,
-            thickness=thickness,
-            v_max=design.v_max * thickness / design.thickness,
-        )
-
-    # With A/d fixed, C(v; d) = C(v/d) and |xi|(E; d) = f(E)/d, so every row
-    # peaks at the same field E*.  One search on the thickest film, whose
-    # voltage window is widest and so resolves E* finest, serves them all.
     points = spec.points()
+    # The thickest film has the widest voltage window, so it resolves E* finest.  The
+    # reference design's *field* window is kept, so E* stays inside the trusted range.
     d_search = max(points)
-    best = maximize_3wm(scaled(d_search), circuit, drive, v_range=(0.0, field_max * d_search))
+    search = replace(
+        design,
+        plate_area=design.plate_area / design.thickness * d_search,
+        thickness=d_search,
+        v_max=design.v_max * d_search / design.thickness,
+    )
+    best = maximize_3wm(search, circuit, drive, v_range=(0.0, 0.25 / design.thickness * d_search))
     field_opt = best.v0_max / d_search
+    point = operating_point(best.v0_max, drive, search, circuit)
+    f0_ghz, xi = point.omega0 / _TWO_PI / 1e9, abs(point.xi)
+    k_zero = kerr_strength(0.0, search, circuit)
 
     def row(thickness: float) -> tuple[float, ...]:
-        row_design = scaled(thickness)
-        v0 = field_opt * thickness
-        coeffs = operating_point(v0, drive, row_design, circuit)
-        xi = abs(coeffs.xi)
-        k_zero = kerr_strength(0.0, row_design, circuit)
+        r = d_search / thickness
+        xi_row, k_row = xi * r, k_zero * r * r
         return (
             thickness * 1e9,
-            v0 * 1e3,
-            coeffs.omega0 / _TWO_PI / 1e9,
-            xi / _TWO_PI / 1e6,
-            k_zero / _TWO_PI,
-            xi / k_zero,
+            field_opt * thickness * 1e3,
+            f0_ghz,
+            xi_row / _TWO_PI / 1e6,
+            k_row / _TWO_PI,
+            xi_row / k_row,
         )
 
     return SweepResult(
         variable=spec.variable,
-        columns=(
-            "d_nm",
-            "v0_max_mv",
-            "f0_ghz",
-            "xi_max_mhz",
-            "keff_zero_hz",
-            "xi_over_keff",
-        ),
+        columns=("d_nm", "v0_max_mv", "f0_ghz", "xi_max_mhz", "keff_zero_hz", "xi_over_keff"),
         rows=tuple(map(row, points)),
+        on_window_edge=best.on_window_edge,
     )

@@ -6,16 +6,26 @@ instead of Newton steps, the 3-dB point by a scan plus
 bisection instead of polynomial roots, integrals use fixed-panel
 midpoint Riemann sums or scipy's adaptive quadrature in the bias voltage
 instead of Gauss-Legendre panels in a substituted variable, and derivatives
-use high-order finite-difference stencils instead of the chain rule.  The one
-exception is `peak_gain_db_per_row`, which keeps the scalar per-row path
-that the bias sweep's ``peak_gain_db`` column replaced.
+use high-order finite-difference stencils instead of the chain rule.  The two
+exceptions keep a per-row path that a table now computes by column:
+`peak_gain_db_per_row` the scalar path that the bias sweep's ``peak_gain_db``
+column replaced, and `geometry_rows_per_design` the design-per-row
+plate-separation table that the scaling laws replaced.
 """
 
 import math
+from dataclasses import replace
 
 from scipy.integrate import quad
 
-from qpamp import RateBudget, ThresholdError, reflection
+from qpamp import (
+    RateBudget,
+    ThresholdError,
+    kerr_strength,
+    maximize_3wm,
+    operating_point,
+    reflection,
+)
 
 
 def cubic_root_bisect(lam: float, eta: float) -> float:
@@ -161,3 +171,44 @@ def peak_gain_db_per_row(omega0: float, kappa_int: float, kappa_ext: float, xi: 
         return 20.0 * math.log10(abs(reflection(rates.omega_p / 2.0, xi, rates)))
     except ThresholdError:
         return math.nan
+
+
+def geometry_rows_per_design(points, design, circuit, drive) -> list[tuple[float, ...]]:
+    """Rows of the plate-separation table, each from a design of its own.
+
+    Every film thickness d gets the reference design rescaled to d at fixed
+    plate_area/thickness, biased at the optimum field of one search on the
+    thickest film, and its own working-point record and zero-bias Kerr strength.
+    """
+    area_ratio = design.plate_area / design.thickness
+    field_max = 0.25 / design.thickness
+
+    def scaled(thickness):
+        return replace(
+            design,
+            plate_area=area_ratio * thickness,
+            thickness=thickness,
+            v_max=design.v_max * thickness / design.thickness,
+        )
+
+    d_search = max(points)
+    best = maximize_3wm(scaled(d_search), circuit, drive, v_range=(0.0, field_max * d_search))
+    field_opt = best.v0_max / d_search
+    rows = []
+    for thickness in points:
+        row_design = scaled(thickness)
+        v0 = field_opt * thickness
+        coeffs = operating_point(v0, drive, row_design, circuit)
+        xi = abs(coeffs.xi)
+        k_zero = kerr_strength(0.0, row_design, circuit)
+        rows.append(
+            (
+                thickness * 1e9,
+                v0 * 1e3,
+                coeffs.omega0 / (2.0 * math.pi) / 1e9,
+                xi / (2.0 * math.pi) / 1e6,
+                k_zero / (2.0 * math.pi),
+                xi / k_zero,
+            )
+        )
+    return rows

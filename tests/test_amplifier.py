@@ -222,7 +222,7 @@ class TestGainProfile:
         assert power(span) < 1.0
         assert abs(profile.bandwidth / kappa - 2.0 * upper) <= 1e-9
         # With the level exactly 1 the leading coefficient is exactly 0.
-        assert abs(_half_power_offset(BUDGET, xi, 1.0, span) - upper) <= 1e-9
+        assert abs(_half_power_offset(BUDGET, xi, 1.0) - upper) <= 1e-9
 
     def test_sub_3db_peak_in_a_narrow_span(self):
         # Critically coupled, a 2.4 dB peak falls below half power near 0.26
@@ -244,6 +244,33 @@ class TestGainProfile:
         assert profile.bandwidth / BUDGET.kappa == pytest.approx(
             0.10108489170841178, rel=1e-12, abs=0.0
         )
+
+    def test_bandwidth_property_against_bisection(self):
+        # Drawn coupling shares, pump ratios and spans: the closed-form width
+        # against bisection, with NaN in the same places on both sides.
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+        @given(
+            st.floats(min_value=0.01, max_value=1.0),
+            st.floats(min_value=0.0, max_value=0.999),
+            st.floats(min_value=0.25, max_value=8.0),
+        )
+        def check(ext_share, ratio, half_span):
+            kappa_ext = ext_share * BUDGET.kappa
+            rates = RateBudget(BUDGET.omega0, BUDGET.kappa - kappa_ext, kappa_ext)
+            xi = ratio * rates.kappa / 2.0
+            profile = profile_from_rates(rates, xi, GridSpec(half_span_kappa=half_span))
+            power = power_at(rates, xi)
+            half = power(0.0) / 2.0
+            upper = first_crossing_bisect(power, half, half_span)
+            if math.isnan(upper) or power(half_span) >= half:
+                assert math.isnan(profile.bandwidth)
+            else:
+                assert abs(profile.bandwidth / rates.kappa - 2.0 * upper) <= 1e-9
+
+        check()
 
     def test_sub_3db_peak_has_no_bandwidth(self):
         # The curve dips below half power inside the span but is back above

@@ -418,6 +418,34 @@ class TestWindowEdgeWarning:
         assert len(read_kv(tmp_path / "design.kv")) == 17
         assert "warning" not in (tmp_path / "design.txt").read_text()
 
+    @pytest.mark.parametrize(
+        "renorm_field, warns", [("100", True), ("1.93", False)], ids=["edge", "inside"]
+    )
+    def test_geometry_sweep_optimum_on_edge_warns(self, tmp_path, capsys, renorm_field, warns):
+        # A stiff crystal (E_N = 100 V/um) peaks beyond the fixed 1.25 V/um field window.
+        argv = ["sweep", "--material", "sto"]
+        for item in (
+            "sweep.variable=plate_separation",
+            "sweep.min=200",
+            "sweep.max=2000",
+            "sweep.count=2",
+            f"material.renorm_field_v_per_um={renorm_field}",
+        ):
+            argv += ["--override", item]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        _, columns, rows = read_table(tmp_path / "sweep.csv")
+        v0_mv = column(columns, rows, "v0_max_mv")
+        if warns:
+            assert err == (
+                "qpamp: warning: working-point field 1.25 V/um is on the edge of the search "
+                "window of the plate-separation sweep; |xi| may peak outside it\n"
+            )
+            assert v0_mv[0] == 250.0
+        else:
+            assert err == ""
+            assert v0_mv[0] < 249.0
+
 
 class TestGainCommand:
     def test_zero_ratio_without_internal_loss_is_flat(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qpamp.sweep
-from oracles import peak_gain_db_per_row
+from oracles import geometry_rows_per_design, peak_gain_db_per_row
 from qpamp import (
     KTO,
     STO,
@@ -31,6 +31,17 @@ STO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=STO)
 KTO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=KTO)
 CIRCUIT = CircuitParams(inductance=0.5e-9, q_ext=100.0)
 DRIVE = DriveSpec(v_ac=1e-3)
+# A crystal of no built-in material, lossy and inhomogeneous.
+CUSTOM = MaterialParams(
+    eps00_rel=3000.0,
+    curie_temp=40.0,
+    debye_temp=200.0,
+    renorm_field=2.0e6,
+    inhomogeneity=0.02,
+    a1=1e-4,
+    a2=1e-3,
+    temperature=0.0,
+)
 
 
 class TestSweepSpec:
@@ -272,7 +283,7 @@ class TestGeometrySweep:
         assert all(a < b for a, b in zip(ratio, ratio[1:]))
         # Optimal bias scales with the film thickness.
         for i in range(len(d)):
-            assert v0[i] / d[i] == pytest.approx(v0[0] / d[0], rel=5e-4)
+            assert v0[i] / d[i] == pytest.approx(v0[0] / d[0], rel=1e-14, abs=0.0)
 
     def test_exact_scaling_laws(self):
         # With A/d fixed the capacitance curve only rescales in voltage, so
@@ -283,8 +294,8 @@ class TestGeometrySweep:
         xi = result.column("xi_max_mhz")
         keff = result.column("keff_zero_hz")
         for i in range(1, len(d)):
-            assert xi[i] * d[i] == pytest.approx(xi[0] * d[0], rel=1e-5)
-            assert keff[i] * d[i] ** 2 == pytest.approx(keff[0] * d[0] ** 2, rel=1e-9)
+            assert xi[i] * d[i] == pytest.approx(xi[0] * d[0], rel=1e-14, abs=0.0)
+            assert keff[i] * d[i] ** 2 == pytest.approx(keff[0] * d[0] ** 2, rel=1e-14, abs=0.0)
 
     def test_reference_row_matches_direct_optimum(self):
         spec = SweepSpec("plate_separation", 200e-9, 200e-9, 1)
@@ -302,17 +313,43 @@ class TestGeometrySweep:
         )
 
     def test_one_search_per_sweep(self, monkeypatch):
-        calls = []
+        # One search, one working-point record and one zero-bias Kerr strength,
+        # whatever the row count; the other rows follow from the scaling laws.
+        calls = {"maximize_3wm": [], "operating_point": [], "kerr_strength": []}
+        for name, log in calls.items():
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return maximize_3wm(*args, **kwargs)
+            def counting(*args, _log=log, _func=getattr(qpamp.sweep, name), **kwargs):
+                _log.append(args)
+                return _func(*args, **kwargs)
 
-        monkeypatch.setattr(qpamp.sweep, "maximize_3wm", counting)
-        spec = SweepSpec("plate_separation", 1e-7, 1e-4, 12, spacing="log")
-        geometry_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE)
-        assert len(calls) == 1
-        assert calls[0][0].thickness == pytest.approx(1e-4, rel=1e-12, abs=0.0)
+            monkeypatch.setattr(qpamp.sweep, name, counting)
+        for count in (1, 12, 50):
+            for log in calls.values():
+                log.clear()
+            spec = SweepSpec("plate_separation", 1e-7, 1e-4, count, spacing="log")
+            assert len(geometry_sweep(spec, STO_DESIGN, CIRCUIT, DRIVE).rows) == count
+            assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 1)
+            searched = calls["maximize_3wm"][0][0]
+            assert searched.thickness == max(spec.points())
+            assert calls["operating_point"][0][2] == searched
+            assert calls["kerr_strength"][0][1] == searched
+
+    @pytest.mark.parametrize("count", [1, 12, 13, 50])
+    @pytest.mark.parametrize(
+        "material",
+        [STO, KTO, replace(STO, inhomogeneity=0.0), CUSTOM],
+        ids=["sto", "kto", "ideal_sto", "custom"],
+    )
+    def test_rows_match_a_design_per_row(self, material, count):
+        # Against the table built from a design of its own per row.
+        design = replace(STO_DESIGN, material=material)
+        spec = SweepSpec("plate_separation", 1e-7, 1e-4, count, spacing="log")
+        result = geometry_sweep(spec, design, CIRCUIT, DRIVE)
+        want = geometry_rows_per_design(spec.points(), design, CIRCUIT, DRIVE)
+        assert len(result.rows) == len(want) == count
+        for got_row, want_row in zip(result.rows, want):
+            assert got_row[:2] == want_row[:2]  # d_nm and v0_max_mv
+            assert got_row[2:] == pytest.approx(want_row[2:], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("design", [STO_DESIGN, KTO_DESIGN], ids=["sto", "kto"])
     def test_rows_match_direct_optima(self, design):
