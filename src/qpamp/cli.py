@@ -111,27 +111,6 @@ def cmd_material(run: Run) -> None:
     _write_csv(run, "material", result.columns, result.rows)
 
 
-# (kv key, report label, display unit) rows of the design report.
-_REPORT_FIELDS = (
-    ("v0_max_mv", "working-point bias v0", "mV"),
-    ("f0_ghz", "mode frequency f0", "GHz"),
-    ("c_pf", "capacitance at v0", "pF"),
-    ("xi_mhz", "three-wave strength |xi|/2pi", "MHz"),
-    ("keff_hz", "Kerr strength K_eff/2pi", "Hz"),
-    ("xi_over_keff", "ratio |xi| / K_eff", ""),
-    ("kappa_int_mhz", "internal rate kappa_int/2pi", "MHz"),
-    ("kappa_ext_mhz", "external rate kappa_ext/2pi", "MHz"),
-    ("kappa_mhz", "total rate kappa/2pi", "MHz"),
-    ("q_int", "internal quality factor", ""),
-    ("q_ext", "external quality factor", ""),
-    ("pump_ratio", "pump ratio |xi|/(kappa/2)", ""),
-    ("pump_photons", "pump occupation estimate", ""),
-    ("n_photons", "Kerr-limited photon budget", ""),
-    ("p_circ_dbm", "compression power (cyclic-frequency convention)", "dBm"),
-    ("p_circ_dbm_angular", "compression power (angular-frequency convention)", "dBm"),
-)
-
-
 def _working_point(run: Run):
     """(optimum, working-point record, rate budget) of the configured bias search window."""
     design, circuit, drive, window = run.design, run.circuit, run.drive, run.sweep
@@ -154,35 +133,38 @@ def cmd_design(run: Run) -> None:
     comp = compression_estimate(point.k_eff, rates)
     xi = abs(point.xi)
 
-    values = {
-        "v0_max_mv": best.v0_max * 1e3,
-        "f0_ghz": point.omega0 / _TWO_PI / 1e9,
-        "c_pf": point.c * 1e12,
-        "xi_mhz": xi / _TWO_PI / 1e6,
-        "keff_hz": point.k_eff / _TWO_PI,
-        "xi_over_keff": xi / point.k_eff,
-        "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
-        "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
-        "kappa_mhz": rates.kappa / _TWO_PI / 1e6,
-        "q_int": rates.q_int,
-        "q_ext": rates.q_ext,
-        "pump_ratio": xi / (rates.kappa / 2.0),
-        "pump_photons": point.pump_photons,
-        "n_photons": comp.n_photons,
-        "p_circ_dbm": comp.p_dbm_ordinary,
-        "p_circ_dbm_angular": comp.p_dbm_angular,
-    }
-    _check_finite("design", tuple(values), [tuple(values.values())])
+    # (kv key, report label, display unit, value) rows of the design report.
+    rows = (
+        ("v0_max_mv", "working-point bias v0", "mV", best.v0_max * 1e3),
+        ("f0_ghz", "mode frequency f0", "GHz", point.omega0 / _TWO_PI / 1e9),
+        ("c_pf", "capacitance at v0", "pF", point.c * 1e12),
+        ("xi_mhz", "three-wave strength |xi|/2pi", "MHz", xi / _TWO_PI / 1e6),
+        ("keff_hz", "Kerr strength K_eff/2pi", "Hz", point.k_eff / _TWO_PI),
+        ("xi_over_keff", "ratio |xi| / K_eff", "", xi / point.k_eff),
+        ("kappa_int_mhz", "internal rate kappa_int/2pi", "MHz", point.kappa_int / _TWO_PI / 1e6),
+        ("kappa_ext_mhz", "external rate kappa_ext/2pi", "MHz", point.kappa_ext / _TWO_PI / 1e6),
+        ("kappa_mhz", "total rate kappa/2pi", "MHz", rates.kappa / _TWO_PI / 1e6),
+        ("q_int", "internal quality factor", "", rates.q_int),
+        ("q_ext", "external quality factor", "", rates.q_ext),
+        ("pump_ratio", "pump ratio |xi|/(kappa/2)", "", xi / (rates.kappa / 2.0)),
+        ("pump_photons", "pump occupation estimate", "", point.pump_photons),
+        ("n_photons", "Kerr-limited photon budget", "", comp.n_photons),
+        ("p_circ_dbm", "compression power (cyclic-frequency convention)", "dBm",
+         comp.p_dbm_ordinary),
+        ("p_circ_dbm_angular", "compression power (angular-frequency convention)", "dBm",
+         comp.p_dbm_angular),
+    )
+    keys, _, _, values = zip(*rows)
+    _check_finite("design", keys, [values])
 
     report = [f"{'material':<50}{sections['material']['name']}"]
     report.extend(
-        f"{label:<50}{values[key]:.6g}{' ' + unit if unit else ''}"
-        for key, label, unit in _REPORT_FIELDS
+        f"{label:<50}{value:.6g}{' ' + unit if unit else ''}" for _, label, unit, value in rows
     )
     out = _out_dir(run)
     _write_lines(out / "design.txt", _header("design", sections) + report)
     kv = [f"material = {sections['material']['name']}"]
-    kv.extend(f"{key} = {_fmt(values[key])}" for key, _, _ in _REPORT_FIELDS)
+    kv.extend(f"{key} = {_fmt(value)}" for key, _, _, value in rows)
     _write_lines(out / "design.kv", _header("design", sections) + kv)
 
     print("\n".join(report + [f"wrote {out / name}" for name in ("design.txt", "design.kv")]))

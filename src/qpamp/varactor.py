@@ -17,7 +17,8 @@ processes downstream:
 (primes on U with respect to charge, on C with respect to voltage, all
 evaluated at the working point).
 
-`charge` and `energy` integrate C(u) and u C(u) over [0, |v|].
+`charge` and `energy` read one routine, `_moments`, that integrates C(u) and
+u C(u) over [0, |v|] together, at the same nodes.
 
 * Ideal crystal (lam_s = 0): closed forms in the cubic's root y at
   x = |v| / (d E_N), since ``G dx = (3/2) dy`` along the cubic:
@@ -40,7 +41,7 @@ evaluated at the working point).
   end of a panel pi wide gives rho = 2.89, an error near 1e-15.  The cut
   keeps it from sitting above a panel's middle (rho = 2.41), and the width
   bound keeps it from sitting closer than one half-width.  Each node is one
-  call of the module-global `capacitance`.
+  call of the module-global `capacitance`, whose value enters both sums.
 
 `voltage_from_charge` inverts q(v) by Newton steps with dq/dv = C(v),
 started from the closed-form inverse of an ideal crystal (lam_s = 0).  That
@@ -159,17 +160,31 @@ def _voltage_derivatives(eps_r, d1, d2, design: VaractorDesign):
     return _capacitance(eps_r, design), scale * d1 / d, scale * d2 / (d * d)
 
 
-def _integral(func, voltage: float, design: VaractorDesign) -> float:
-    """integral_0^|v| func(u) du for a floor lam_s > 0, by Gauss-Legendre panels in t.
-
-    The substitution, the cut at the knee and the panel width are those of
-    the module docstring.
-    """
+def _ideal_charge_per_root(design: VaractorDesign) -> float:
+    # q / y = (3/2) eps0 A eps00_rel E_N for an ideal crystal.
     material = design.material
+    return 1.5 * epsilon_0 * design.plate_area * material.eps00_rel * material.renorm_field
+
+
+def _moments(voltage: float, design: VaractorDesign) -> tuple[float, float]:
+    """(|q|, U): integral_0^|v| of C(u) and of u C(u), as in the module docstring.
+
+    Ideal crystals take the closed forms; otherwise both integrands are summed
+    at the same Gauss-Legendre nodes in t, one `capacitance` call per node.
+    """
+    _check_range(voltage, design)
+    material = design.material
+    eta_val = eta(material)
+    # The floor changes q and U by less than rounding (module docstring).
+    if material.inhomogeneity**2 <= 1e-17 * eta_val**3:
+        y = _solve_cubic(abs(voltage) / (design.thickness * material.renorm_field), eta_val)
+        per_root = _ideal_charge_per_root(design)
+        scale = 0.5 * design.thickness * material.renorm_field * per_root
+        return per_root * y, scale * y**2 * (0.25 * y**2 + 1.5 * eta_val)
     scale = design.thickness * material.renorm_field * material.inhomogeneity
     end = math.asinh(abs(voltage) / scale)
-    knee = math.asinh(eta(material) ** 1.5 / material.inhomogeneity)
-    total = 0.0
+    knee = math.asinh(eta_val**1.5 / material.inhomogeneity)
+    q = u_c = 0.0
     for lo, hi in ((0.0, min(end, knee)), (knee, end)):
         if not lo < hi:
             continue
@@ -179,24 +194,12 @@ def _integral(func, voltage: float, design: VaractorDesign) -> float:
             mid = lo + (2 * k + 1) * half
             for node, weight in _GAUSS_LEGENDRE_16:
                 for t in (mid - half * node, mid + half * node):
-                    total += half * weight * math.cosh(t) * func(scale * math.sinh(t))
-    return scale * total
-
-
-def _ideal(material: MaterialParams) -> bool:
-    # The floor changes q and U by less than rounding (module docstring).
-    return material.inhomogeneity**2 <= 1e-17 * eta(material) ** 3
-
-
-def _ideal_charge_per_root(design: VaractorDesign) -> float:
-    # q / y = (3/2) eps0 A eps00_rel E_N for an ideal crystal.
-    material = design.material
-    return 1.5 * epsilon_0 * design.plate_area * material.eps00_rel * material.renorm_field
-
-
-def _ideal_root(voltage: float, design: VaractorDesign) -> float:
-    material = design.material
-    return _solve_cubic(abs(voltage) / (design.thickness * material.renorm_field), eta(material))
+                    u = scale * math.sinh(t)
+                    c = capacitance(u, design)
+                    w = half * weight * math.cosh(t)
+                    q += w * c
+                    u_c += w * (u * c)
+    return scale * q, scale * u_c
 
 
 def charge(voltage: float, design: VaractorDesign) -> float:
@@ -204,12 +207,7 @@ def charge(voltage: float, design: VaractorDesign) -> float:
 
     Odd in v; strictly increasing because C > 0.
     """
-    _check_range(voltage, design)
-    if _ideal(design.material):
-        q = _ideal_charge_per_root(design) * _ideal_root(voltage, design)
-    else:
-        q = _integral(lambda u: capacitance(u, design), voltage, design)
-    return math.copysign(q, voltage)
+    return math.copysign(_moments(voltage, design)[0], voltage)
 
 
 def voltage_from_charge(q: float, design: VaractorDesign) -> float:
@@ -272,13 +270,7 @@ def energy(voltage: float, design: VaractorDesign) -> float:
     Computed as ``integral_0^v u * C(u) du``, which equals
     ``integral_0^q v(q') dq'`` after integrating by parts.  Even in v.
     """
-    _check_range(voltage, design)
-    material = design.material
-    if _ideal(material):
-        y2 = _ideal_root(voltage, design) ** 2
-        scale = 0.5 * design.thickness * material.renorm_field * _ideal_charge_per_root(design)
-        return scale * y2 * (0.25 * y2 + 1.5 * eta(material))
-    return _integral(lambda u: u * capacitance(u, design), voltage, design)
+    return _moments(voltage, design)[1]
 
 
 def energy_and_derivatives(voltage: float, design: VaractorDesign) -> ChargePoint:
@@ -288,13 +280,14 @@ def energy_and_derivatives(voltage: float, design: VaractorDesign) -> ChargePoin
     model); the tests check them against finite-difference stencils.
     """
     c, c1, c2 = capacitance_derivatives(voltage, design)
+    q, u = _moments(voltage, design)
     u2 = 1.0 / c
     u3 = -c1 / c**3
     u4 = (-c2 + 3.0 * c1 * c1 / c) / c**4
     return ChargePoint(
-        charge=charge(voltage, design),
+        charge=math.copysign(q, voltage),
         capacitance=c,
-        energy=energy(voltage, design),
+        energy=u,
         u2=u2,
         u3=u3,
         u4=u4,

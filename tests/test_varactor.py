@@ -296,9 +296,30 @@ class TestEnergyExpansion:
         assert point.energy == 0.0
 
     def test_fields(self):
-        point = energy_and_derivatives(9.3e-3, STO_DESIGN)
-        assert point.charge == pytest.approx(charge(9.3e-3, STO_DESIGN), rel=1e-12, abs=0.0)
-        assert point.energy == pytest.approx(energy(9.3e-3, STO_DESIGN), rel=1e-12, abs=0.0)
+        for design in DESIGNS.values():
+            for v in GRID_BIASES:
+                point = energy_and_derivatives(v, design)
+                assert point.charge == charge(v, design), v
+                assert point.energy == energy(v, design), v
+
+    @pytest.mark.parametrize("v", [1e-3, 0.1, 0.25, 1.0])
+    @pytest.mark.parametrize("design", [STO_DESIGN, KTO_DESIGN], ids=["sto", "kto"])
+    def test_one_pass_over_the_nodes(self, monkeypatch, design, v):
+        # q and U come from the same nodes: the expansion calls the module-global
+        # capacitance as often as charge alone does, not once per integral.
+        calls = []
+
+        def counted(u, d):
+            calls.append(u)
+            return capacitance(u, d)
+
+        monkeypatch.setattr(qpamp.varactor, "capacitance", counted)
+        charge(v, design)
+        alone = len(calls)
+        calls.clear()
+        energy_and_derivatives(v, design)
+        assert alone > 0
+        assert len(calls) == alone
 
 
 class TestDerivativeCrossChecks:
