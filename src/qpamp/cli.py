@@ -86,25 +86,25 @@ def _write_csv(run: Run, command: str, columns, rows) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _table_command(command):
-    """Run a command that builds numpy arrays with numpy's floating-point warnings off.
+def _table_command(build):
+    """Run a function that builds numpy arrays with numpy's floating-point warnings off.
 
     Overflow and 0/0 then surface as non-finite cells (checked by `_check_finite`) or as
-    ArithmeticError, not as warnings.  `cmd_design` evaluates plain floats and never
-    loads numpy, so it is not wrapped.
+    ArithmeticError, not as warnings.  Only `cmd_gain` and the bias table build arrays;
+    `material`, `design` and the plate-separation table evaluate plain floats and never
+    load numpy, so they are not wrapped.
     """
 
-    @functools.wraps(command)
-    def wrapped(run: Run) -> None:
+    @functools.wraps(build)
+    def wrapped(*args):
         import numpy as np
 
         with np.errstate(all="ignore"):
-            command(run)
+            return build(*args)
 
     return wrapped
 
 
-@_table_command
 def cmd_material(run: Run) -> None:
     """Dielectric response table over the configured bias-field range."""
     result = dielectric_sweep(run.design.material, run.sweep)
@@ -186,10 +186,10 @@ def cmd_gain(run: Run) -> None:
     _write_csv(run, "gain", ("xi_ratio", "freq_ghz", "gain_db", "re_R", "im_R"), rows)
 
 
-@_table_command
 def cmd_sweep(run: Run) -> None:
     """Bias-voltage or plate-separation sweep table."""
-    tabulate = bias_sweep if run.sweep.variable == "bias_voltage" else geometry_sweep
+    bias = run.sweep.variable == "bias_voltage"
+    tabulate = _table_command(bias_sweep) if bias else geometry_sweep
     result = tabulate(run.sweep, run.design, run.circuit, run.drive)
     if result.on_window_edge:
         field = result.column("v0_max_mv")[0] / result.column("d_nm")[0]  # mV/nm = V/um
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         print(f"qpamp: config error: {exc}", file=sys.stderr)
         return 2
     # Command phase: the config is valid, so a computed value that breaks a rule is numerical.
-    # The table commands silence numpy's warnings themselves (`_table_command`).
+    # The commands that build arrays silence numpy's warnings themselves (`_table_command`).
     try:
         _COMMANDS[args.command](run)
     except ArithmeticError as exc:

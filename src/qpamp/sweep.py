@@ -1,11 +1,12 @@
 """Parameter sweeps and the working-point optimiser.
 
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
-floats, ready for CSV serialisation.  Bias and
-bias-field tables are computed by column, from one array evaluation of the
-chain (for bias, the working-point record of `resonator.operating_point`);
-plate-separation rows follow from one working-point record through the
-exact scaling laws at fixed plate_area/thickness.
+floats, ready for CSV serialisation.  The bias table is computed by column,
+from one array evaluation of the working-point record of
+`resonator.operating_point`, and is the only sweep that loads numpy.
+Bias-field rows are one scalar `material.dielectric_response` each, and
+plate-separation rows follow from one working-point record through the exact
+scaling laws at fixed plate_area/thickness.
 Sweeps run on the calling thread; ``workers`` is None or a positive integer.
 
 Column values are in display units (mV, pF, GHz, MHz, Hz, dB) as indicated
@@ -85,13 +86,19 @@ class SweepSpec:
             raise ConfigurationError("sweep 'start' must be >= 0 for pump_ratio")
 
     def points(self) -> list[float]:
+        """The swept values, ends exact; log points are np.geomspace's 10**x over log10 ends."""
         if self.count == 1:
             return [self.start]
-        import numpy as np
+        if self.spacing == "linear":
+            return _linspace(self.start, self.stop, self.count)
+        exponents = _linspace(math.log10(self.start), math.log10(self.stop), self.count)
+        return [self.start, *(10.0**x for x in exponents[1:-1]), self.stop]
 
-        if self.spacing == "log":
-            return [float(x) for x in np.geomspace(self.start, self.stop, self.count)]
-        return [float(x) for x in np.linspace(self.start, self.stop, self.count)]
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """``np.linspace(lo, hi, count)`` as floats, count >= 2; bit for bit unless the step is 0."""
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count - 1)] + [hi]
 
 
 @dataclass(frozen=True)
@@ -193,22 +200,15 @@ def dielectric_sweep(
             f"dielectric_sweep needs variable 'bias_field', got {spec.variable!r}"
         )
     _check_workers(workers)
-    import numpy as np
 
-    fields = np.array(spec.points())
-    resp = dielectric_response(fields, material)
-    columns = {
-        "E_V_per_um": fields / 1e6,
-        "eps_r": resp.eps_rel,
-        "tan_delta": resp.loss_tangent,
-        "tan_delta_1": resp.tan_delta_1,
-        "tan_delta_2": resp.tan_delta_2,
-        "tan_delta_3": resp.tan_delta_3,
-    }
+    def row(field: float) -> tuple[float, ...]:
+        r = dielectric_response(field, material)
+        return (field / 1e6, r.eps_rel, r.loss_tangent, r.tan_delta_1, r.tan_delta_2, r.tan_delta_3)
+
     return SweepResult(
         variable=spec.variable,
-        columns=tuple(columns),
-        rows=tuple(zip(*(values.tolist() for values in columns.values()))),
+        columns=("E_V_per_um", "eps_r", "tan_delta", "tan_delta_1", "tan_delta_2", "tan_delta_3"),
+        rows=tuple(map(row, spec.points())),
     )
 
 
@@ -254,9 +254,7 @@ def maximize_3wm(
     def objective(v0: float) -> float:
         return abs(three_wave_strength(v0, drive, design, circuit))
 
-    # The grid points of np.linspace(lo, hi, _GRID_POINTS), as Python floats.
-    step = (hi - lo) / (_GRID_POINTS - 1)
-    grid = [lo + i * step for i in range(_GRID_POINTS - 1)] + [hi]
+    grid = _linspace(lo, hi, _GRID_POINTS)
     values = [objective(v) for v in grid]
     # max() passes over a NaN, so the grid is checked first; ties keep the first maximum.
     if not all(map(math.isfinite, values)):

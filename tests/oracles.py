@@ -6,8 +6,10 @@ instead of Newton steps, the 3-dB point by a scan plus
 bisection instead of polynomial roots, integrals use fixed-panel
 midpoint Riemann sums or scipy's adaptive quadrature in the bias voltage
 instead of Gauss-Legendre panels in a substituted variable, and derivatives
-use high-order finite-difference stencils instead of the chain rule.  The two
-exceptions keep a per-row path that a table now computes by column:
+use high-order finite-difference stencils instead of the chain rule;
+`material_row_mp` evaluates a material-table row at 40 digits with mpmath
+instead of in double precision.  The two exceptions keep a per-row path that
+a table now computes by column:
 `peak_gain_db_per_row` the scalar path that the bias sweep's ``peak_gain_db``
 column replaced, and `geometry_rows_per_design` the design-per-row
 plate-separation table that the scaling laws replaced.
@@ -43,6 +45,32 @@ def cubic_root_bisect(lam: float, eta: float) -> float:
 def greens_bisect(lam: float, eta: float) -> float:
     y = cubic_root_bisect(lam, eta)
     return 1.0 / (y * y + eta)
+
+
+def material_row_mp(field: float, params) -> tuple[float, ...]:
+    """One `dielectric_sweep` row at ``field`` [V/m], computed at 40 digits and rounded.
+
+    eta from the parameters, the cubic's real root by mpmath's ``findroot``
+    started from `cubic_root_bisect`, then eps_r = eps00_rel G and the three
+    loss channels of `qpamp.dielectric_response`.  Imports mpmath on first use.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        curie, debye, temp, density = (
+            mp.mpf(x)
+            for x in (params.curie_temp, params.debye_temp, params.temperature, params.defect_density)
+        )
+        eta = debye / curie * mp.sqrt(mp.mpf(1) / 16 + (temp / debye) ** 2) - 1
+        lam = mp.sqrt(mp.mpf(params.inhomogeneity) ** 2 + (mp.mpf(field) / params.renorm_field) ** 2)
+        start = cubic_root_bisect(float(lam), float(eta))
+        y = mp.findroot(lambda y: y**3 + 3 * eta * y - 2 * lam, mp.mpf(start))
+        g = 1 / (y * y + eta)
+        tan1 = params.a1 * (temp / curie) ** 2 * g**1.5
+        tan2 = params.a2 * y * y * g
+        tan3 = density * (params.a3 or 0.0) * g
+        cells = (mp.mpf(field) / 10**6, params.eps00_rel * g, tan1 + tan2 + tan3, tan1, tan2, tan3)
+        return tuple(float(cell) for cell in cells)
 
 
 def invert_bisect(charge, q: float, v_max: float) -> float:

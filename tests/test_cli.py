@@ -593,11 +593,12 @@ class TestSweepCommand:
         assert d[0] == pytest.approx(100.0, rel=1e-9)
         assert d[-1] == pytest.approx(100000.0, rel=1e-9)
 
-    @pytest.mark.parametrize("command", ["sweep", "design", "gain"])
+    @pytest.mark.parametrize("command", ["sweep", "design", "gain", "material"])
     def test_non_finite_results_exit_3(self, tmp_path, capsys, command):
-        # Biases up to 1e300 mV overflow the normalised field: the chain
-        # gives NaN there, and no numpy warning reaches stderr.
-        overrides = ("variable=bias_voltage", "min=0", "max=1e300", "count=5")
+        # Biases up to 1e300 mV (fields up to 1e300 V/um for `material`) overflow the
+        # normalised field: the chain gives NaN there, and no numpy warning reaches stderr.
+        variable = "bias_field" if command == "material" else "bias_voltage"
+        overrides = (f"variable={variable}", "min=0", "max=1e300", "count=5")
         argv = [command, "--out", str(tmp_path)]
         for item in overrides:
             argv += ["--override", f"sweep.{item}"]
@@ -884,10 +885,23 @@ class TestOutputContract:
         assert seen == {k: [] for k in ("qpamp.cli", "material", "design", "gain", "sweep")}
 
     def test_import_and_design_run_without_numpy(self, tmp_path):
-        # The design chain builds no array; only the table commands load numpy.
-        designs = [["design", "--material", "sto"], ["design", "--material", "kto"]]
-        seen = self._loaded_after("numpy", ["qpamp", "qpamp.cli", *designs], tmp_path)
-        names = ("qpamp", "qpamp.cli", "design --material sto", "design --material kto")
+        # Only `gain` and the bias-voltage sweep build arrays; these run on Python floats.
+        field_table = ["--override=sweep.variable=bias_field", "--override=sweep.min=0",
+                       "--override=sweep.max=10", "--override=sweep.count=401"]
+        geometry = ["--override=sweep.variable=plate_separation", "--override=sweep.min=100",
+                    "--override=sweep.max=100000", "--override=sweep.count=13",
+                    "--override=sweep.spacing=log"]
+        steps = [
+            "qpamp",
+            "qpamp.cli",
+            ["design", "--material", "sto"],
+            ["design", "--material", "kto"],
+            ["material"],
+            ["material", *field_table],
+            ["sweep", *geometry],
+        ]
+        seen = self._loaded_after("numpy", steps, tmp_path)
+        names = [step if isinstance(step, str) else " ".join(step) for step in steps]
         assert seen == {k: [] for k in names}
 
     def test_charge_path_runs_without_scipy_or_numpy(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qpamp.sweep
-from oracles import geometry_rows_per_design, peak_gain_db_per_row
+from oracles import geometry_rows_per_design, material_row_mp, peak_gain_db_per_row
 from qpamp import (
     KTO,
     STO,
@@ -42,6 +42,17 @@ CUSTOM = MaterialParams(
     a2=1e-3,
     temperature=0.0,
 )
+# The custom crystal of tests/golden.
+GOLDEN_CUSTOM = MaterialParams(
+    eps00_rel=3000.0,
+    curie_temp=40.0,
+    debye_temp=160.0,
+    renorm_field=2.0e6,
+    inhomogeneity=0.025,
+    a1=2e-4,
+    a2=1e-3,
+)
+EPS = 2.0**-52
 
 
 class TestSweepSpec:
@@ -56,6 +67,34 @@ class TestSweepSpec:
         assert pts[0] == pytest.approx(1e-7, rel=1e-12, abs=0.0)
         assert pts[-1] == pytest.approx(1e-4, rel=1e-12, abs=0.0)
         assert pts[1] / pts[0] == pytest.approx(10.0, rel=1e-9)
+
+    def test_points_against_numpy_and_an_exact_sequence(self):
+        # Each log exponent carries a few roundings of about eps * L, L the larger
+        # |log10| of the ends, and 10**x makes ln(10) times that a relative error; so
+        # the bound is 2 ln(10) (1 + L) ulps, which np.geomspace meets on the same draws.
+        pytest.importorskip("hypothesis")
+        mp = pytest.importorskip("mpmath")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(st.floats(-12.0, 9.0), st.floats(0.01, 12.0), st.integers(2, 50))
+        def check(start_exponent, decades, count):
+            start = 10.0**start_exponent
+            stop = start * 10.0**decades
+            linear = SweepSpec("bias_voltage", start, stop, count).points()
+            assert linear == np.linspace(start, stop, count).tolist()
+            log = SweepSpec("plate_separation", start, stop, count, spacing="log").points()
+            assert len(log) == count and log[0] == start and log[-1] == stop
+            ends = max(abs(math.log10(start)), abs(math.log10(stop)))
+            rel = 2.0 * math.log(10.0) * (1.0 + ends) * EPS
+            with mp.workdps(40):
+                ratio = mp.mpf(stop) / start
+                exact = [start * ratio ** (mp.mpf(i) / (count - 1)) for i in range(count)]
+                for points in (log, np.geomspace(start, stop, count).tolist()):
+                    for i, (x, want) in enumerate(zip(points, exact)):
+                        assert abs(x - want) <= rel * want, (i, x, float(want))
+
+        check()
 
     def test_single_point(self):
         spec = SweepSpec("bias_voltage", 0.0, 0.0, 1)
@@ -425,6 +464,17 @@ class TestDielectricSweep:
             2080.0 / eta_fn(mat), rel=1e-12
         )
         assert result.column("tan_delta")[0] == 0.0
+
+    @pytest.mark.parametrize("material", [STO, KTO, GOLDEN_CUSTOM], ids=["sto", "kto", "custom"])
+    def test_rows_match_a_40_digit_oracle(self, material):
+        # Every cell within 16 ulps of the row evaluated at 40 digits (8.2 ulps at most seen).
+        pytest.importorskip("mpmath")
+        spec = SweepSpec("bias_field", 0.0, 1e7, 201)
+        result = dielectric_sweep(material, spec)
+        for field, row in zip(spec.points(), result.rows):
+            want = material_row_mp(field, material)
+            for column, got, exact in zip(result.columns, row, want):
+                assert abs(got - exact) <= 16 * EPS * abs(exact), (column, field, got, exact)
 
     def test_wrong_variable(self):
         with pytest.raises(ConfigurationError):
