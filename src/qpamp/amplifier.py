@@ -16,6 +16,10 @@ of a quadratic in dw**2.
 The linewidths come from the working-point record, `resonator.ModeCoefficients`:
 internal loss from the film's loss tangent, external coupling from q_ext.
 
+`reflection` is plain arithmetic: a float omega gives a complex, an array an array.
+Only `profile_from_rates` imports numpy; it samples the curve with numpy's warnings
+off, so overflow and 0/0 give inf and NaN samples.
+
 `compression_estimate` turns the Kerr-limited photon budget ``N = kappa /
 k_eff`` into a circulating-power scale, reported in two common conventions
 (ordinary frequencies f * (kappa/2pi), and angular frequencies omega *
@@ -102,23 +106,18 @@ class GridSpec:
 class GainProfile:
     """Sampled reflection curve plus its headline numbers.
 
-    ``bandwidth`` is the full width [rad/s] between the half-power points
-    around the peak, NaN when the profile has no 3-dB points inside the
-    sampled span (flat or notch-like curves).
+    ``gain_db`` is ``20 log10|reflection|`` per sample.  ``bandwidth`` is the
+    full width [rad/s] between the half-power points around the peak, NaN
+    when the profile has no 3-dB points inside the sampled span (flat or
+    notch-like curves).
     """
 
     frequencies: np.ndarray
     reflection: np.ndarray
+    gain_db: np.ndarray
     peak_gain_db: float
     bandwidth: float
     pump_ratio: float
-
-    @property
-    def gain_db(self) -> np.ndarray:
-        import numpy as np
-
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(np.abs(self.reflection))
 
 
 @dataclass(frozen=True)
@@ -149,19 +148,16 @@ def _check_threshold(xi_mag: float, rates: RateBudget) -> None:
 def reflection(omega, xi_mag: float, rates: RateBudget):
     """Complex reflection coefficient R(omega) below threshold.
 
-    ``omega`` may be a scalar or an array [rad/s]; the return matches.
+    ``omega`` [rad/s]: a float gives a complex, a numpy array an array.
     """
-    import numpy as np
-
     if not xi_mag >= 0.0:
         raise ValueError("xi_mag must be non-negative")
     _check_threshold(xi_mag, rates)
-    dw = np.asarray(omega) - rates.omega_p / 2.0
+    dw = omega - rates.omega_p / 2.0
     half_kappa = rates.kappa / 2.0
     numerator = rates.kappa_ext * half_kappa + 1j * rates.kappa_ext * dw
     denominator = (half_kappa + 1j * dw) ** 2 - xi_mag * xi_mag
-    result = numerator / denominator - 1.0
-    return complex(result) if np.isscalar(omega) else result
+    return numerator / denominator - 1.0
 
 
 def _half_power_offset(rates: RateBudget, xi_mag: float, half: float) -> float:
@@ -194,12 +190,14 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
     _check_threshold(xi_mag, rates)
     center = rates.omega_p / 2.0
     span = grid.half_span_kappa * rates.kappa
-    frequencies = center + np.linspace(-span, span, grid.count)
-    refl = reflection(frequencies, xi_mag, rates)
-    power = np.abs(refl) ** 2
-    i_peak = int(np.argmax(power))
-    peak_power = float(power[i_peak])
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
+        frequencies = center + np.linspace(-span, span, grid.count)
+        refl = reflection(frequencies, xi_mag, rates)
+        magnitude = np.abs(refl)
+        gain_db = 20.0 * np.log10(magnitude)
+        power = magnitude**2
+        i_peak = int(np.argmax(power))
+        peak_power = float(power[i_peak])
         peak_gain_db = float(10.0 * np.log10(peak_power))
 
     bandwidth = math.nan
@@ -215,6 +213,7 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
     return GainProfile(
         frequencies=frequencies,
         reflection=refl,
+        gain_db=gain_db,
         peak_gain_db=peak_gain_db,
         bandwidth=bandwidth,
         pump_ratio=xi_mag / (rates.kappa / 2.0),

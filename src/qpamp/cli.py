@@ -16,14 +16,14 @@ Four subcommands cover the main workflows:
 Every output file starts with a comment banner and the fully resolved
 configuration, so a run can be reproduced from any of its outputs.  `main` alone
 sets the exit code: 2 for an error while the configuration resolves or an I/O error,
-3 for any other error once the command runs.  No file is written if a value is
-non-finite outside `_NON_FINITE_COLUMNS`.
+3 for any other error once the command runs.  The library turns overflow and 0/0
+into non-finite values, not floating-point warnings, and no file is written if a
+value is non-finite outside `_NON_FINITE_COLUMNS`.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from pathlib import Path
@@ -84,25 +84,6 @@ def _write_csv(run: Run, command: str, columns, rows) -> None:
     lines.extend(",".join(_fmt(value) for value in row) for row in rows)
     _write_lines(path, lines)
     print(f"wrote {path} ({len(rows)} rows)")
-
-
-def _table_command(build):
-    """Run a function that builds numpy arrays with numpy's floating-point warnings off.
-
-    Overflow and 0/0 then surface as non-finite cells (checked by `_check_finite`) or as
-    ArithmeticError, not as warnings.  Only `cmd_gain` and the bias table build arrays;
-    `material`, `design` and the plate-separation table evaluate plain floats and never
-    load numpy, so they are not wrapped.
-    """
-
-    @functools.wraps(build)
-    def wrapped(*args):
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            return build(*args)
-
-    return wrapped
 
 
 def cmd_material(run: Run) -> None:
@@ -170,7 +151,6 @@ def cmd_design(run: Run) -> None:
     print("\n".join(report + [f"wrote {out / name}" for name in ("design.txt", "design.kv")]))
 
 
-@_table_command
 def cmd_gain(run: Run) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     rates = _working_point(run)[2]
@@ -188,8 +168,7 @@ def cmd_gain(run: Run) -> None:
 
 def cmd_sweep(run: Run) -> None:
     """Bias-voltage or plate-separation sweep table."""
-    bias = run.sweep.variable == "bias_voltage"
-    tabulate = _table_command(bias_sweep) if bias else geometry_sweep
+    tabulate = bias_sweep if run.sweep.variable == "bias_voltage" else geometry_sweep
     result = tabulate(run.sweep, run.design, run.circuit, run.drive)
     if result.on_window_edge:
         field = result.column("v0_max_mv")[0] / result.column("d_nm")[0]  # mV/nm = V/um
@@ -251,7 +230,7 @@ def main(argv=None) -> int:
         print(f"qpamp: config error: {exc}", file=sys.stderr)
         return 2
     # Command phase: the config is valid, so a computed value that breaks a rule is numerical.
-    # The commands that build arrays silence numpy's warnings themselves (`_table_command`).
+    # Overflow and 0/0 reach a command as non-finite values, which it refuses to write.
     try:
         _COMMANDS[args.command](run)
     except ArithmeticError as exc:

@@ -270,7 +270,8 @@ def _derivatives(bias_field, params: MaterialParams, lam, eta_val, y, g):
     g3 = g * g * g
     dg_per_lam = -(8.0 / 3.0) * g3 / (y * y + 3.0 * eta_val)
     d2g = (16.0 / 3.0) * g3 * g * g * y * y - (8.0 / 9.0) * g3 * g
-    s = (params.inhomogeneity / lam) ** 2 if params.inhomogeneity > 0.0 else 0.0
+    # lam_s**2, not lam_s: normalized_bias squares it, so lam is 0 at zero bias once it underflows.
+    s = (params.inhomogeneity / lam) ** 2 if params.inhomogeneity**2 > 0.0 else 0.0
     scale = params.eps00_rel / params.renorm_field**2
     return (
         params.eps00_rel * g,

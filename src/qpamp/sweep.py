@@ -152,8 +152,8 @@ def bias_sweep(
     The swept variable must be ``bias_voltage`` (values in volts).  The
     ``peak_gain_db`` column is the reflection gain at the pumped center
     frequency for the given drive; rows where that drive sits at or beyond
-    the oscillation threshold get NaN there.  A non-finite cell in any other
-    column raises `NumericalError`.
+    the oscillation threshold get NaN there.  Overflow and 0/0 give non-finite
+    cells, not warnings; one in any other column raises `NumericalError`.
     """
     if spec.variable != "bias_voltage":
         raise ConfigurationError(f"bias_sweep needs variable 'bias_voltage', got {spec.variable!r}")
@@ -161,29 +161,30 @@ def bias_sweep(
     import numpy as np
 
     v0 = np.array(spec.points())
-    point = operating_point(v0, drive, design, circuit)
-    xi = np.abs(point.xi)
-    columns = {
-        "v0_mv": v0 * 1e3,
-        "eps_r": point.eps_rel,
-        "tan_delta": point.loss_tangent,
-        "c_pf": point.c * 1e12,
-        "f0_ghz": point.omega0 / _TWO_PI / 1e9,
-        "xi_mhz": xi / _TWO_PI / 1e6,
-        "keff_hz": point.k_eff / _TWO_PI,
-        "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
-        "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
-    }
-    bad = [name for name, values in columns.items() if not np.isfinite(values).all()]
-    if bad:
-        raise NumericalError(f"bias sweep column {bad[0]!r} is not finite")
-    # R at the pumped centre; NaN at or beyond threshold, where the divisor is <= 0.
-    half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
+        point = operating_point(v0, drive, design, circuit)
+        xi = np.abs(point.xi)
+        columns = {
+            "v0_mv": v0 * 1e3,
+            "eps_r": point.eps_rel,
+            "tan_delta": point.loss_tangent,
+            "c_pf": point.c * 1e12,
+            "f0_ghz": point.omega0 / _TWO_PI / 1e9,
+            "xi_mhz": xi / _TWO_PI / 1e6,
+            "keff_hz": point.k_eff / _TWO_PI,
+            "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
+            "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
+        }
+        bad = [name for name, values in columns.items() if not np.isfinite(values).all()]
+        if bad:
+            raise NumericalError(f"bias sweep column {bad[0]!r} is not finite")
+        # R at the pumped centre; NaN at or beyond threshold, where the divisor is <= 0.
+        half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
         centre = point.kappa_ext * half_kappa / (half_kappa * half_kappa - xi * xi)
-    centre[_above_threshold(xi, half_kappa)] = np.nan
+        centre[_above_threshold(xi, half_kappa)] = np.nan
+        gain = 20.0 * np.log10(np.abs(centre - 1.0))
     # NaN cells are math.nan itself, so that equal tables have equal rows.
-    peak_db = [g if g == g else math.nan for g in (20.0 * np.log10(np.abs(centre - 1.0))).tolist()]
+    peak_db = [g if g == g else math.nan for g in gain.tolist()]
     return SweepResult(
         variable=spec.variable,
         columns=(*columns, "peak_gain_db"),
@@ -221,7 +222,8 @@ def _golden_max(func: Callable[[float], float], a: float, b: float):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = func(c), func(d)
-    while (b - a) > _XTOL:
+    # Also stop once rounding leaves no probe strictly inside (doubles > _XTOL apart).
+    while (b - a) > _XTOL and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

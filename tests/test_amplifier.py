@@ -282,6 +282,18 @@ class TestGainProfile:
         assert power.min() < power.max() / 2.0 <= power[-1]
         assert math.isnan(profile.bandwidth)
 
+    def test_gain_db_is_the_reflection_in_db(self):
+        profile = profile_from_rates(BUDGET, 0.8 * BUDGET.kappa / 2.0)
+        assert np.array_equal(profile.gain_db, 20.0 * np.log10(np.abs(profile.reflection)))
+
+    def test_overflowing_span_gives_nan_without_warning(self):
+        # A span of 1e300 kappa overflows the grid; any floating-point warning fails the test.
+        grid = GridSpec(count=3, half_span_kappa=1e300)
+        profile = profile_from_rates(BUDGET, 0.5 * BUDGET.kappa / 2.0, grid)
+        assert math.isnan(profile.peak_gain_db)
+        assert math.isnan(profile.bandwidth)
+        assert np.isnan(profile.gain_db).all()
+
     def test_profile_frequencies_span(self):
         grid = GridSpec(count=11, half_span_kappa=3.0)
         profile = profile_from_rates(BUDGET, 0.5 * BUDGET.kappa / 2.0, grid)

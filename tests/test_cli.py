@@ -35,6 +35,19 @@ def column(columns, rows, name):
     return [row[i] for row in rows]
 
 
+def cli_process(argv, timeout=None):
+    """Run ``python -m qpamp.cli *argv`` in a fresh interpreter on this checkout."""
+    src = str(Path(qpamp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "qpamp.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
+    )
+
+
 def read_kv(path):
     values = {}
     for line in path.read_text().splitlines():
@@ -697,6 +710,46 @@ def test_k_eff_underflow_fails_only_the_design(tmp_path, capsys):
         assert main([command, "--out", str(tmp_path / command), *override]) == 0
 
 
+# Search windows where adjacent doubles lie more than the search's 1 uV resolution apart:
+# the golden-section search must still end (a fresh process bounds the wait). The
+# plate-separation table then fails: the zero-bias K_eff of its 1e191 m film underflows to 0.
+FAR_APART = {
+    "design_1e13_mv": (
+        ["design", "--override", "sweep.variable=bias_voltage", "--override", "sweep.min=1e13",
+         "--override", "sweep.max=2e13", "--override", "sweep.count=2"],
+        0,
+    ),
+    "plate_separation_1e200_nm": (
+        ["sweep", "--override", "sweep.variable=plate_separation", "--override", "sweep.min=100",
+         "--override", "sweep.max=1e200", "--override", "sweep.count=9",
+         "--override", "sweep.spacing=log"],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code", FAR_APART.values(), ids=FAR_APART)
+def test_search_ends_where_doubles_are_far_apart(tmp_path, argv, code):
+    result = cli_process([*argv, "--out", str(tmp_path)], timeout=60)
+    assert result.returncode == code, result.stderr
+    if code == 3:
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("qpamp: error:"), err
+
+
+@pytest.mark.parametrize("command", ["design", "material"])
+def test_underflowing_inhomogeneity_runs_as_an_ideal_crystal(tmp_path, command):
+    # inhomogeneity**2 underflows to 0, so every cell equals that of an ideal crystal.
+    cells = []
+    for value in ("1e-200", "0"):
+        out = tmp_path / value
+        argv = [command, "--out", str(out), "--override", f"material.inhomogeneity={value}"]
+        assert main(argv) == 0
+        text = (out / OUTPUT_FILES[command]).read_text()
+        cells.append([line for line in text.splitlines() if not line.startswith("#")])
+    assert cells[0] == cells[1]
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -920,14 +973,21 @@ class TestOutputContract:
         for package in ("scipy", "numpy"):
             assert self._loaded_after(package, [step], tmp_path) == {"charge path": []}
 
-    def test_console_script_is_wired(self, tmp_path):
-        src = str(Path(qpamp.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-m", "qpamp.cli", "material", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+    def test_scalar_amplifier_path_runs_without_numpy(self, tmp_path):
+        # One rate budget, R at the pumped centre and the compression estimate are floats.
+        code = (
+            "import qpamp\n"
+            "design = qpamp.VaractorDesign(16e-12, 200e-9, qpamp.STO)\n"
+            "circuit = qpamp.CircuitParams(0.5e-9, 100.0)\n"
+            "rates = qpamp.rate_budget(9.3e-3, design, circuit)\n"
+            "r = qpamp.reflection(rates.omega_p / 2.0, 0.5 * rates.kappa / 2.0, rates)\n"
+            "assert type(r) is complex and abs(r) > 1.0\n"
+            "qpamp.compression_estimate(qpamp.kerr_strength(9.3e-3, design, circuit), rates)\n"
         )
+        step = {"name": "amplifier path", "code": code}
+        assert self._loaded_after("numpy", [step], tmp_path) == {"amplifier path": []}
+
+    def test_console_script_is_wired(self, tmp_path):
+        result = cli_process(["material", "--out", str(tmp_path)])
         assert result.returncode == 0
         assert (tmp_path / "material.csv").exists()

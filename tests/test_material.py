@@ -205,6 +205,16 @@ class TestDerivatives:
             assert eps == permittivity(0.0, mat)
             assert d2 < 0.0
 
+    def test_underflowing_inhomogeneity_is_an_ideal_crystal(self):
+        # lam_s**2 underflows to 0, so lam is 0 at zero bias: s must come from the square.
+        tiny, ideal = lossless(inhomogeneity=1e-200), lossless()
+        assert permittivity_derivatives(0.0, tiny) == permittivity_derivatives(0.0, ideal)
+        fields = np.array([0.0, 1e4, 2e6])
+        for got, want in zip(
+            permittivity_derivatives(fields, tiny), permittivity_derivatives(fields, ideal)
+        ):
+            assert np.array_equal(got, want)
+
     def test_ideal_crystal_zero_bias_curvature(self):
         # lam_s = 0 limit: d2eps/dE2 = -(8/9) eps00_rel / (eta^4 E_N^2).
         mat = lossless()
