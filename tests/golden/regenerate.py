@@ -5,19 +5,26 @@ Run from the repository root after a change that is meant to move the numbers:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 For each crystal in `CRYSTALS` (STO, KTO and one custom crystal) it runs the
-commands in `RUNS` and writes ``tests/golden/<crystal>/<file>``.  Every
-file keeps the CLI's header, with its ``path =`` echo line set to
-``path = out``, and a fixed subset of the body:
+commands in `COMMANDS` and writes ``tests/golden/<crystal>/<file>``: the
+output files in `RUNS`, and one ``<command>.streams`` file per command with
+its exit code, stdout and stderr.  The output directory reads ``out`` in
+every file: each output keeps the CLI's header, with its ``path =`` echo line
+set to ``path = out``, and the streams name files under ``out/``.  Of each
+output's body, a fixed subset is kept:
 
 * ``design.kv`` and ``design.txt``: every line;
-* ``geometry.csv`` (the 13-row log plate-separation sweep): every row;
+* ``geometry.csv`` (the 13-row log plate-separation sweep) and
+  ``geometry_renorm.csv`` (the same sweep with a renormalisation field of
+  100 V/um, whose optimum sits on the edge of the search window, so that
+  its stderr carries the warning): every row;
 * ``material.csv`` and ``sweep.csv`` (the default bias-field and bias-voltage
   tables, 201 rows each): every tenth row and the last one, which takes in
   the centre sample and, for STO and the custom crystal, rows whose
   ``peak_gain_db`` is NaN;
-* ``gain.csv``: within each pump ratio's block of rows,
-  every hundredth row and the block's last, so the centre sample of each
-  ratio and the first and last rows of the file.
+* ``gain.csv`` and ``gain_pump_ratio.csv`` (the ratios of a ``pump_ratio``
+  sweep): within each pump ratio's block of rows, every hundredth row and the
+  block's last, so the centre sample of each ratio and the first and last
+  rows of the file.
 """
 
 from __future__ import annotations
@@ -49,14 +56,31 @@ GEOMETRY = [
     for item in ("variable=plate_separation", "min=100", "max=100000", "count=13", "spacing=log")
 ]
 
-# golden file -> (argv, the CLI output it keeps)
+PUMP_RATIO = [
+    f"--override=sweep.{item}" for item in ("variable=pump_ratio", "min=0.5", "max=0.9", "count=3")
+]
+
+# command -> argv; a crystal's own options go after the subcommand, before the rest.
+COMMANDS = {
+    "material": ["material"],
+    "design": ["design"],
+    "gain": ["gain"],
+    "sweep": ["sweep"],
+    "geometry": ["sweep", *GEOMETRY],
+    "gain_pump_ratio": ["gain", *PUMP_RATIO],
+    "geometry_renorm": ["sweep", *GEOMETRY, "--override=material.renorm_field_v_per_um=100"],
+}
+
+# golden file -> (command, the CLI output it keeps)
 RUNS = {
-    "material.csv": (["material"], "material.csv"),
-    "design.kv": (["design"], "design.kv"),
-    "design.txt": (["design"], "design.txt"),
-    "gain.csv": (["gain"], "gain.csv"),
-    "sweep.csv": (["sweep"], "sweep.csv"),
-    "geometry.csv": (["sweep", *GEOMETRY], "sweep.csv"),
+    "material.csv": ("material", "material.csv"),
+    "design.kv": ("design", "design.kv"),
+    "design.txt": ("design", "design.txt"),
+    "gain.csv": ("gain", "gain.csv"),
+    "sweep.csv": ("sweep", "sweep.csv"),
+    "geometry.csv": ("geometry", "sweep.csv"),
+    "gain_pump_ratio.csv": ("gain_pump_ratio", "gain.csv"),
+    "geometry_renorm.csv": ("geometry_renorm", "sweep.csv"),
 }
 
 
@@ -76,20 +100,34 @@ def kept_rows(run: str, rows: list[str]) -> list[str]:
     """The documented subset of a table's rows (see the module docstring)."""
     if run in ("material.csv", "sweep.csv"):
         return [rows[i] for i in _every(len(rows), 10)]
-    if run == "gain.csv":  # one block of rows per pump ratio, the first cell
+    if run in ("gain.csv", "gain_pump_ratio.csv"):
+        # One block of rows per pump ratio, the first cell.
         blocks = [list(block) for _, block in groupby(rows, key=lambda row: row.split(",")[0])]
         return [block[i] for block in blocks for i in _every(len(block), 100)]
     return rows
 
 
+def execute(crystal: str, command: str, workdir: Path) -> tuple[Path, str]:
+    """Run one command for one crystal in ``workdir``: (output directory, streams text).
+
+    The streams text is the exit code, stdout and stderr, with the output
+    directory written as ``out``.
+    """
+    subcommand, *options = COMMANDS[command]
+    out = workdir / crystal / command
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = main([subcommand, *CRYSTALS[crystal], *options, "--out", str(out)])
+    text = f"exit {status}\n[stdout]\n{stdout.getvalue()}[stderr]\n{stderr.getvalue()}"
+    return out, text.replace(str(out), "out")
+
+
 def produce(crystal: str, run: str, workdir: Path) -> str:
     """Run one command for one crystal in ``workdir``; return its golden text."""
-    argv, output = RUNS[run]
-    out = workdir / crystal / run
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = main([*argv, *CRYSTALS[crystal], "--out", str(out)])
-    if status != 0:
-        raise RuntimeError(f"qpamp {' '.join(argv)} for {crystal} exited {status}")
+    command, output = RUNS[run]
+    out, streams = execute(crystal, command, workdir)
+    if not streams.startswith("exit 0\n"):
+        raise RuntimeError(f"qpamp {command} for {crystal} failed:\n{streams}")
     header, body = split((out / output).read_text(encoding="utf-8"))
     if output.endswith(".csv"):
         body = body[:1] + kept_rows(run, body[1:])
@@ -99,9 +137,12 @@ def produce(crystal: str, run: str, workdir: Path) -> str:
 def regenerate(workdir: Path) -> None:
     for crystal in CRYSTALS:
         (GOLDEN / crystal).mkdir(exist_ok=True)
-        for run in RUNS:
-            path = GOLDEN / crystal / run
-            path.write_text(produce(crystal, run, workdir), encoding="utf-8", newline="\n")
+        texts = {run: produce(crystal, run, workdir) for run in RUNS}
+        for command in COMMANDS:
+            texts[f"{command}.streams"] = execute(crystal, command, workdir)[1]
+        for name, text in texts.items():
+            path = GOLDEN / crystal / name
+            path.write_text(text, encoding="utf-8", newline="\n")
             print(f"wrote {path}")
 
 

@@ -1,10 +1,12 @@
-"""The CLI's outputs against the committed golden files in tests/golden/.
+"""The CLI's outputs and streams against the committed golden files in tests/golden/.
 
 `golden/regenerate.py` writes those files and documents which rows they keep.
 Headers (apart from the ``path =`` echo), column lines and every text cell
 must match byte for byte; NaN cells must sit in the same places; every other
 cell must match to a relative tolerance per column, given below in units of
-the double-precision epsilon.  The tolerances cover numpy's SIMD code paths:
+the double-precision epsilon.  A command's streams (exit code, stdout and
+stderr) are compared line by line like ``design.txt``, whose report `design`
+also prints.  The tolerances cover numpy's SIMD code paths:
 disabling the AVX-512 and AVX2 kernels (``NPY_DISABLE_CPU_FEATURES``) moved
 ``tan_delta_1`` by up to 9 ulps, the Kerr columns by up to 26 and
 ``peak_gain_db`` near threshold by up to 557, and nothing else by more than 5.
@@ -14,7 +16,7 @@ import math
 
 import pytest
 
-from golden.regenerate import CRYSTALS, GOLDEN, RUNS, produce, split
+from golden.regenerate import COMMANDS, CRYSTALS, GOLDEN, RUNS, execute, produce, split
 
 EPS = 2.0**-52
 DEFAULT_ULPS = 16
@@ -46,14 +48,8 @@ def _number(text):
         return None
 
 
-@pytest.mark.parametrize("run", RUNS)
-@pytest.mark.parametrize("crystal", CRYSTALS)
-def test_matches_golden(tmp_path, crystal, run):
-    golden_header, golden_body = split((GOLDEN / crystal / run).read_text(encoding="utf-8"))
-    header, body = split(produce(crystal, run, tmp_path))
-    assert header == golden_header
+def _check_lines(run, columns, body, golden_body):
     assert len(body) == len(golden_body)
-    columns = golden_body[0].split(",")
     for line, golden_line in zip(body, golden_body):
         for (column, cell), (_, golden_cell) in zip(
             _cells(run, columns, line), _cells(run, columns, golden_line), strict=True
@@ -67,3 +63,20 @@ def test_matches_golden(tmp_path, crystal, run):
             else:
                 rel = TXT_REL if run == "design.txt" else ULPS.get(column, DEFAULT_ULPS) * EPS
                 assert value == expected or abs(value - expected) <= rel * abs(expected), where
+
+
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("crystal", CRYSTALS)
+def test_matches_golden(tmp_path, crystal, run):
+    golden_header, golden_body = split((GOLDEN / crystal / run).read_text(encoding="utf-8"))
+    header, body = split(produce(crystal, run, tmp_path))
+    assert header == golden_header
+    _check_lines(run, golden_body[0].split(","), body, golden_body)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("crystal", CRYSTALS)
+def test_streams_match_golden(tmp_path, crystal, command):
+    golden = (GOLDEN / crystal / f"{command}.streams").read_text(encoding="utf-8")
+    streams = execute(crystal, command, tmp_path)[1]
+    _check_lines("design.txt", None, streams.splitlines(), golden.splitlines())
