@@ -139,12 +139,6 @@ def _above_threshold(xi_mag, half_kappa):
     return xi_mag * xi_mag >= half_kappa**2
 
 
-def _check_threshold(xi_mag: float, rates: RateBudget) -> None:
-    half_kappa = rates.kappa / 2.0
-    if _above_threshold(xi_mag, half_kappa):
-        raise ThresholdError(xi_mag / half_kappa)
-
-
 def reflection(omega, xi_mag: float, rates: RateBudget):
     """Complex reflection coefficient R(omega) below threshold.
 
@@ -152,9 +146,10 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
     """
     if not xi_mag >= 0.0:
         raise ValueError("xi_mag must be non-negative")
-    _check_threshold(xi_mag, rates)
-    dw = omega - rates.omega_p / 2.0
     half_kappa = rates.kappa / 2.0
+    if _above_threshold(xi_mag, half_kappa):
+        raise ThresholdError(xi_mag / half_kappa)
+    dw = omega - rates.omega0
     numerator = rates.kappa_ext * half_kappa + 1j * rates.kappa_ext * dw
     denominator = (half_kappa + 1j * dw) ** 2 - xi_mag * xi_mag
     return numerator / denominator - 1.0
@@ -184,14 +179,12 @@ def _half_power_offset(rates: RateBudget, xi_mag: float, half: float) -> float:
 
 
 def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSpec()) -> GainProfile:
-    """Sample the reflection curve around omega_p/2 for a given pump strength."""
+    """Sample the reflection curve around omega0 for a given pump strength."""
     import numpy as np
 
-    _check_threshold(xi_mag, rates)
-    center = rates.omega_p / 2.0
     span = grid.half_span_kappa * rates.kappa
     with np.errstate(all="ignore"):
-        frequencies = center + np.linspace(-span, span, grid.count)
+        frequencies = rates.omega0 + np.linspace(-span, span, grid.count)
         refl = reflection(frequencies, xi_mag, rates)
         magnitude = np.abs(refl)
         gain_db = 20.0 * np.log10(magnitude)

@@ -27,7 +27,7 @@ from .amplifier import GridSpec
 from .errors import ConfigurationError
 from .material import MaterialParams, builtin_material
 from .resonator import CircuitParams, DriveSpec
-from .sweep import SweepSpec
+from .sweep import _SEARCH_WINDOW_V, SweepSpec
 from .varactor import VaractorDesign
 
 __all__ = ["load_config", "Run", "command_run", "echo_lines", "config_text_from_output"]
@@ -151,7 +151,9 @@ _KEYS = {
 
 _DEFAULT_GAIN_RATIOS = (0.5, 0.9, 0.99)
 _DEFAULT_FIELD_SWEEP = {"variable": "bias_field", "min": "0", "max": "5", "count": "201"}
-_DEFAULT_BIAS_SWEEP = {"variable": "bias_voltage", "min": "0", "max": "250", "count": "201"}
+# The library's default search window, in mV: "0.0" and "250.0".
+_LO_MV, _HI_MV = (str(v * 1e3) for v in _SEARCH_WINDOW_V)
+_DEFAULT_BIAS_SWEEP = {"variable": "bias_voltage", "min": _LO_MV, "max": _HI_MV, "count": "201"}
 # Command -> (the [sweep] variables it reads, the [sweep] it runs on otherwise, as
 # config entries).
 _COMMAND_SWEEPS = {

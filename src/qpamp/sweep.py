@@ -7,7 +7,15 @@ from one array evaluation of the working-point record of
 Bias-field rows are one scalar `material.dielectric_response` each, and
 plate-separation rows follow from one working-point record through the exact
 scaling laws at fixed plate_area/thickness.
-Sweeps run on the calling thread; ``workers`` is None or a positive integer.
+Sweeps run on the calling thread.  Only `bias_sweep` takes ``workers`` (None
+or a positive integer), and it starts no threads.
+
+The working-point search defaults to the bias window `_SEARCH_WINDOW_V`,
+0-250 mV.  The plate-separation table searches the fields of that window on
+the configured film, up to 250 mV over its thickness (1.25 V/um at 200 nm),
+whatever thicknesses it sweeps.  No option or config key widens that window;
+a table whose optimum sits on its edge says so in ``on_window_edge``, and
+``qpamp sweep`` warns.
 
 Column values are in display units (mV, pF, GHz, MHz, Hz, dB) as indicated
 by the column names; everything inside the physics modules stays SI.
@@ -46,6 +54,8 @@ __all__ = [
 SWEEP_VARIABLES = ("bias_voltage", "bias_field", "plate_separation", "pump_ratio")
 
 _TWO_PI = 2.0 * math.pi
+# The default bias window [V] of the working-point search; `config` echoes it in mV.
+_SEARCH_WINDOW_V = (0.0, 0.25)
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,6 @@ class SweepResult:
     """Ordered, column-labelled table of sweep rows; ``on_window_edge`` is the
     `Optimum.on_window_edge` of the search that a `geometry_sweep` table rests on."""
 
-    variable: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     on_window_edge: bool = False
@@ -135,11 +144,6 @@ def default_workers() -> int:
     return 1
 
 
-def _check_workers(workers) -> None:
-    if workers is not None and not (isinstance(workers, int) and workers >= 1):
-        raise ConfigurationError(f"workers must be None or a positive integer, got {workers!r}")
-
-
 def bias_sweep(
     spec: SweepSpec,
     design: VaractorDesign,
@@ -157,7 +161,8 @@ def bias_sweep(
     """
     if spec.variable != "bias_voltage":
         raise ConfigurationError(f"bias_sweep needs variable 'bias_voltage', got {spec.variable!r}")
-    _check_workers(workers)
+    if workers is not None and not (isinstance(workers, int) and workers >= 1):
+        raise ConfigurationError(f"workers must be None or a positive integer, got {workers!r}")
     import numpy as np
 
     v0 = np.array(spec.points())
@@ -186,28 +191,23 @@ def bias_sweep(
     # NaN cells are math.nan itself, so that equal tables have equal rows.
     peak_db = [g if g == g else math.nan for g in gain.tolist()]
     return SweepResult(
-        variable=spec.variable,
         columns=(*columns, "peak_gain_db"),
         rows=tuple(zip(*(values.tolist() for values in columns.values()), peak_db)),
     )
 
 
-def dielectric_sweep(
-    material: MaterialParams, spec: SweepSpec, workers: int | None = None
-) -> SweepResult:
+def dielectric_sweep(material: MaterialParams, spec: SweepSpec) -> SweepResult:
     """Permittivity and loss budget versus bias field (sweep values in V/m)."""
     if spec.variable != "bias_field":
         raise ConfigurationError(
             f"dielectric_sweep needs variable 'bias_field', got {spec.variable!r}"
         )
-    _check_workers(workers)
 
     def row(field: float) -> tuple[float, ...]:
         r = dielectric_response(field, material)
         return (field / 1e6, r.eps_rel, r.loss_tangent, r.tan_delta_1, r.tan_delta_2, r.tan_delta_3)
 
     return SweepResult(
-        variable=spec.variable,
         columns=("E_V_per_um", "eps_r", "tan_delta", "tan_delta_1", "tan_delta_2", "tan_delta_3"),
         rows=tuple(map(row, spec.points())),
     )
@@ -240,7 +240,7 @@ def maximize_3wm(
     design: VaractorDesign,
     circuit: CircuitParams,
     drive: DriveSpec,
-    v_range: tuple[float, float] = (0.0, 0.25),
+    v_range: tuple[float, float] = _SEARCH_WINDOW_V,
 ) -> Optimum:
     """Find the bias that maximises |xi|: coarse grid scan + golden-section refine.
 
@@ -280,7 +280,6 @@ def geometry_sweep(
     design: VaractorDesign,
     circuit: CircuitParams,
     drive: DriveSpec,
-    workers: int | None = None,
 ) -> SweepResult:
     """Optimised couplings versus film thickness at fixed plate_area/thickness.
 
@@ -295,7 +294,6 @@ def geometry_sweep(
         raise ConfigurationError(
             f"geometry_sweep needs variable 'plate_separation', got {spec.variable!r}"
         )
-    _check_workers(workers)
     points = spec.points()
     # The thickest film has the widest voltage window, so it resolves E* finest.  The
     # reference design's *field* window is kept, so E* stays inside the trusted range.
@@ -306,7 +304,8 @@ def geometry_sweep(
         thickness=d_search,
         v_max=design.v_max * d_search / design.thickness,
     )
-    best = maximize_3wm(search, circuit, drive, v_range=(0.0, 0.25 / design.thickness * d_search))
+    window = tuple(v / design.thickness * d_search for v in _SEARCH_WINDOW_V)
+    best = maximize_3wm(search, circuit, drive, v_range=window)
     field_opt = best.v0_max / d_search
     point = operating_point(best.v0_max, drive, search, circuit)
     f0_ghz, xi = point.omega0 / _TWO_PI / 1e9, abs(point.xi)
@@ -321,11 +320,11 @@ def geometry_sweep(
             f0_ghz,
             xi_row / _TWO_PI / 1e6,
             k_row / _TWO_PI,
-            xi_row / k_row,
+            # An underflowed K_eff gives inf, or NaN where |xi| underflowed too.
+            xi_row / k_row if k_row else xi_row * math.inf,
         )
 
     return SweepResult(
-        variable=spec.variable,
         columns=("d_nm", "v0_max_mv", "f0_ghz", "xi_max_mhz", "keff_zero_hz", "xi_over_keff"),
         rows=tuple(map(row, points)),
         on_window_edge=best.on_window_edge,

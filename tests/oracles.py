@@ -6,7 +6,9 @@ instead of Newton steps, the 3-dB point by a scan plus
 bisection instead of polynomial roots, integrals use fixed-panel
 midpoint Riemann sums or scipy's adaptive quadrature in the bias voltage
 instead of Gauss-Legendre panels in a substituted variable, and derivatives
-use high-order finite-difference stencils instead of the chain rule;
+use high-order finite-difference stencils instead of the chain rule; the
+bias of largest |xi| is a bisection on the sign of such a stencil's d|xi|/dv
+instead of a grid scan plus golden-section search;
 `material_row_mp` evaluates a material-table row at 40 digits with mpmath
 instead of in double precision.  The two exceptions keep a per-row path that
 a table now computes by column:
@@ -139,6 +141,25 @@ def fd6_second(func, x: float, h: float) -> float:
         - 27 * func(x + 2 * h)
         + 2 * func(x + 3 * h)
     ) / (180.0 * h * h)
+
+
+def argmax_bisect(func, lo: float, hi: float, h: float) -> float:
+    """The x in [lo, hi] where func peaks, by bisection on the sign of `fd6_first`.
+
+    func must rise at lo and fall at hi, with one maximum between; the
+    stencil of step h samples [x - 3h, x + 3h].  Up to 200 steps; the loop
+    ends early once the bracket's ends are adjacent floats.
+    """
+    assert fd6_first(func, lo, h) > 0.0 > fd6_first(func, hi, h), "no maximum in the bracket"
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if fd6_first(func, mid, h) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def central_first(func, x: float, h: float) -> float:

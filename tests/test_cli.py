@@ -547,6 +547,22 @@ class TestGainCommand:
         assert len(peaks) == 3
 
 
+# (command, [sweep] entries) whose table has a non-finite cell.  Biases up to 1e300 mV
+# (fields up to 1e300 V/um for `material`) overflow the normalised field: the chain gives
+# NaN there, and no numpy warning reaches stderr.  Films up to 1e200 nm underflow the
+# zero-bias K_eff to 0, so xi_over_keff is inf.
+OVERFLOW = ("min=0", "max=1e300", "count=5")
+NON_FINITE = {
+    "sweep": ("sweep", "variable=bias_voltage", *OVERFLOW),
+    "design": ("design", "variable=bias_voltage", *OVERFLOW),
+    "gain": ("gain", "variable=bias_voltage", *OVERFLOW),
+    "material": ("material", "variable=bias_field", *OVERFLOW),
+    "plate_separation": (
+        "sweep", "variable=plate_separation", "min=100", "max=1e200", "count=9", "spacing=log"
+    ),
+}
+
+
 class TestSweepCommand:
     def test_bias_sweep_lands_on_working_point(self, tmp_path):
         rc = main(
@@ -606,12 +622,9 @@ class TestSweepCommand:
         assert d[0] == pytest.approx(100.0, rel=1e-9)
         assert d[-1] == pytest.approx(100000.0, rel=1e-9)
 
-    @pytest.mark.parametrize("command", ["sweep", "design", "gain", "material"])
-    def test_non_finite_results_exit_3(self, tmp_path, capsys, command):
-        # Biases up to 1e300 mV (fields up to 1e300 V/um for `material`) overflow the
-        # normalised field: the chain gives NaN there, and no numpy warning reaches stderr.
-        variable = "bias_field" if command == "material" else "bias_voltage"
-        overrides = (f"variable={variable}", "min=0", "max=1e300", "count=5")
+    @pytest.mark.parametrize("run", NON_FINITE.values(), ids=NON_FINITE)
+    def test_non_finite_results_exit_3(self, tmp_path, capsys, run):
+        command, *overrides = run
         argv = [command, "--out", str(tmp_path)]
         for item in overrides:
             argv += ["--override", f"sweep.{item}"]
