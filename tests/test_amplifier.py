@@ -76,6 +76,11 @@ class TestRateBudget:
         with pytest.raises(ConfigurationError, match=name):
             RateBudget(**{**BUDGET.__dict__, name: value})
 
+    def test_rule_message(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            RateBudget(1.0, -1.0, 1.0)
+        assert str(excinfo.value) == "rate 'kappa_int' must be finite and non-negative"
+
     def test_derived_fields(self):
         assert BUDGET.kappa == BUDGET.kappa_int + BUDGET.kappa_ext
         assert BUDGET.omega_p == 2.0 * BUDGET.omega0

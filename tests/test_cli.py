@@ -214,6 +214,7 @@ class TestConfigDiagnostics:
         [
             ("loss_a1", "must be finite and non-negative"),
             ("debye_temp_k", "must be finite and positive"),
+            ("loss_a3", "must be finite and non-negative"),
         ],
     )
     def test_negative_material_value_names_its_key(self, tmp_path, capsys, key, rule):
@@ -260,6 +261,69 @@ class TestConfigDiagnostics:
             argv += ["--override", item]
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"qpamp: config error: {message}"]
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_material_shortcut_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["design", "--out", str(tmp_path), "--material", "foo"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qpamp design: error: argument --material: invalid choice: 'foo' "
+            "(choose from 'sto', 'kto')"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, code, message",
+        [
+            (
+                ["material.name=foo"],
+                2,
+                "config error: [material] name: must be one of sto, kto, custom, got 'foo'",
+            ),
+            (
+                ["sweep.variable=foo"],
+                2,
+                "config error: [sweep] variable: must be one of bias_voltage, bias_field, "
+                "plate_separation, pump_ratio, got 'foo'",
+            ),
+            (
+                ["sweep.variable=bias_voltage", "sweep.min=0", "sweep.max=1", "sweep.count=3",
+                 "sweep.spacing=cubic"],
+                2,
+                "config error: [sweep] spacing: must be one of linear, log, got 'cubic'",
+            ),
+            (
+                ["geometry.thickness_nm=-1"],
+                2,
+                "config error: [geometry] thickness_nm: must be finite and positive, got -1.0",
+            ),
+            (
+                ["circuit.q_ext=-1"],
+                2,
+                "config error: [circuit] q_ext: must be finite and positive, got -1.0",
+            ),
+            (
+                ["gain.half_span_kappa=-1"],
+                2,
+                "config error: [gain] half_span_kappa: must be finite and positive, got -1.0",
+            ),
+            (
+                ["material.loss_a3=-1"],
+                2,
+                "config error: [material] loss_a3: must be finite and non-negative, got -1.0",
+            ),
+            # kappa_ext = omega0 / q_ext overflows: a valid config whose rate breaks RateBudget.
+            (["circuit.q_ext=1e-300"], 3, "error: rate 'kappa_ext' must be finite and positive"),
+        ],
+        ids=["material_name", "sweep_variable", "sweep_spacing", "thickness", "q_ext",
+             "half_span_kappa", "loss_a3", "kappa_ext_overflow"],
+    )
+    def test_message_is_pinned(self, tmp_path, capsys, overrides, code, message):
+        argv = ["sweep" if overrides[0].startswith("sweep.") else "design", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == code
+        assert capsys.readouterr().err.splitlines() == [f"qpamp: {message}"]
         assert not any(tmp_path.iterdir())
 
     def test_negative_drive_amplitude_names_its_key(self, tmp_path, capsys):

@@ -278,6 +278,9 @@ class TestParams:
         assert builtin_material("KTO") is KTO
         with pytest.raises(ConfigurationError):
             builtin_material("batio3")
+        with pytest.raises(ConfigurationError) as excinfo:
+            builtin_material("foo")
+        assert str(excinfo.value) == "unknown material 'foo'; built-ins are ['kto', 'sto']"
 
     def test_table_values(self):
         assert STO.eps00_rel == 2080.0

@@ -116,6 +116,15 @@ class TestSweepSpec:
             SweepSpec("bias_voltage", 0.0, 0.25, 5, spacing="cubic")
         with pytest.raises(ConfigurationError):
             SweepSpec("temperature", 0.0, 0.25, 5)
+        with pytest.raises(ConfigurationError) as excinfo:
+            SweepSpec("foo", 0, 1, 2)
+        assert str(excinfo.value) == (
+            "unknown sweep variable 'foo'; choose from "
+            "('bias_voltage', 'bias_field', 'plate_separation', 'pump_ratio')"
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            SweepSpec("bias_voltage", 0, 1, 2, "cubic")
+        assert str(excinfo.value) == "spacing must be 'linear' or 'log', got 'cubic'"
         with pytest.raises(ConfigurationError):
             SweepSpec("plate_separation", 0.0, 1e-4, 5, spacing="log")
         with pytest.raises(ConfigurationError, match="plate_separation"):
