@@ -25,6 +25,14 @@ output's body, a fixed subset is kept:
   sweep): within each pump ratio's block of rows, every hundredth row and the
   block's last, so the centre sample of each ratio and the first and last
   rows of the file.
+
+The edge runs keep every row: a field table from -5 to 5 V/um
+(``material_negative_field.csv``), a bias table from -300 to 900 mV
+(``sweep_wide_bias.csv``), a one-point bias table at 5 mV
+(``sweep_one_point.csv``) and the ``design`` of a 1e13-2e13 mV window, whose
+optimum sits on its edge (``design_far_window.kv``).  Two edge runs exit 3
+and keep only their streams: ``gain`` at a pump ratio of 1.2, past threshold,
+and ``design`` with no pump.
 """
 
 from __future__ import annotations
@@ -60,6 +68,14 @@ PUMP_RATIO = [
     f"--override=sweep.{item}" for item in ("variable=pump_ratio", "min=0.5", "max=0.9", "count=3")
 ]
 
+
+def _bias(lo: str, hi: str, count: int, variable: str = "bias_voltage") -> list[str]:
+    return [
+        f"--override=sweep.{item}"
+        for item in (f"variable={variable}", f"min={lo}", f"max={hi}", f"count={count}")
+    ]
+
+
 # command -> argv; a crystal's own options go after the subcommand, before the rest.
 COMMANDS = {
     "material": ["material"],
@@ -69,6 +85,12 @@ COMMANDS = {
     "geometry": ["sweep", *GEOMETRY],
     "gain_pump_ratio": ["gain", *PUMP_RATIO],
     "geometry_renorm": ["sweep", *GEOMETRY, "--override=material.renorm_field_v_per_um=100"],
+    "material_negative_field": ["material", *_bias("-5", "5", 11, "bias_field")],
+    "sweep_wide_bias": ["sweep", *_bias("-300", "900", 13)],
+    "sweep_one_point": ["sweep", *_bias("5", "5", 1)],
+    "design_far_window": ["design", *_bias("1e13", "2e13", 2)],
+    "gain_above_threshold": ["gain", "--override=gain.xi_ratio=1.2"],
+    "design_undriven": ["design", "--override=drive.v_ac_mv=0"],
 }
 
 # golden file -> (command, the CLI output it keeps)
@@ -81,6 +103,10 @@ RUNS = {
     "geometry.csv": ("geometry", "sweep.csv"),
     "gain_pump_ratio.csv": ("gain_pump_ratio", "gain.csv"),
     "geometry_renorm.csv": ("geometry_renorm", "sweep.csv"),
+    "material_negative_field.csv": ("material_negative_field", "material.csv"),
+    "sweep_wide_bias.csv": ("sweep_wide_bias", "sweep.csv"),
+    "sweep_one_point.csv": ("sweep_one_point", "sweep.csv"),
+    "design_far_window.kv": ("design_far_window", "design.kv"),
 }
 
 

@@ -34,7 +34,7 @@ def _cells(run, columns, line):
     """(column, text) cells of one body line."""
     if run.endswith(".csv"):
         return list(zip(columns, line.split(","), strict=True))
-    if run == "design.kv":
+    if run.endswith(".kv"):
         key, _, value = line.partition(" = ")
         return [(key, value)]
     label, (value, _, unit) = line[:50], line[50:].partition(" ")
