@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError, ThresholdError
-from .resonator import CircuitParams, DriveSpec, hbar, operating_point
+from .errors import ConfigurationError, ThresholdError, _require_finite
+from .resonator import _UNDRIVEN, CircuitParams, DriveSpec, hbar, operating_point
 from .varactor import VaractorDesign
 
 if TYPE_CHECKING:
@@ -64,11 +64,7 @@ class RateBudget:
     kappa_ext: float
 
     def __post_init__(self):
-        for name in ("omega0", "kappa_ext"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"rate {name!r} must be finite and positive")
-        if not 0.0 <= self.kappa_int < math.inf:
-            raise ConfigurationError("rate 'kappa_int' must be finite and non-negative")
+        _require_finite("rate", self, ("omega0", "kappa_ext"), ("kappa_int",))
 
     @property
     def kappa(self) -> float:
@@ -98,8 +94,7 @@ class GridSpec:
         # An odd count puts a sample on the pumped center, where the 3-dB width is measured.
         if not isinstance(self.count, int) or self.count < 3 or self.count % 2 == 0:
             raise ConfigurationError("grid 'count' must be odd and at least 3")
-        if not 0.0 < self.half_span_kappa < math.inf:
-            raise ConfigurationError("grid 'half_span_kappa' must be finite and positive")
+        _require_finite("grid", self, ("half_span_kappa",))
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class CompressionEstimate:
 
 def rate_budget(v0: float, design: VaractorDesign, circuit: CircuitParams) -> RateBudget:
     """Internal/external rates of the varactor resonator at bias v0, pumped at 2 omega0."""
-    point = operating_point(v0, DriveSpec(v_ac=0.0), design, circuit)
+    point = operating_point(v0, _UNDRIVEN, design, circuit)
     return RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
 
 

@@ -32,6 +32,7 @@ from ._version import __version__
 from .amplifier import RateBudget, compression_estimate, profile_from_rates
 from .config import Run, command_run, echo_lines, load_config
 from .errors import NumericalError
+from .material import _BUILTINS
 from .resonator import operating_point
 from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
 
@@ -180,11 +181,12 @@ def cmd_sweep(run: Run) -> None:
     _write_csv(run, "sweep", result.columns, result.rows)
 
 
+# Command -> (what it runs, its help line).
 _COMMANDS = {
-    "material": cmd_material,
-    "design": cmd_design,
-    "gain": cmd_gain,
-    "sweep": cmd_sweep,
+    "material": (cmd_material, "tabulate permittivity and loss versus bias field"),
+    "design": (cmd_design, "find the working point and report the design numbers"),
+    "gain": (cmd_gain, "tabulate reflection-gain curves at chosen pump ratios"),
+    "sweep": (cmd_sweep, "tabulate a bias-voltage or plate-separation sweep"),
 }
 
 
@@ -197,18 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text in (
-        ("material", "tabulate permittivity and loss versus bias field"),
-        ("design", "find the working point and report the design numbers"),
-        ("gain", "tabulate reflection-gain curves at chosen pump ratios"),
-        ("sweep", "tabulate a bias-voltage or plate-separation sweep"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", metavar="PATH", help="configuration file (INI format)")
         sub.add_argument("--out", metavar="DIR", help="output directory (overrides [output] path)")
         sub.add_argument(
             "--material",
-            choices=("sto", "kto"),
+            choices=tuple(_BUILTINS),
             help="built-in material shortcut (overrides [material] name)",
         )
         sub.add_argument(
@@ -232,7 +229,7 @@ def main(argv=None) -> int:
     # Command phase: the config is valid, so a computed value that breaks a rule is numerical.
     # Overflow and 0/0 reach a command as non-finite values, which it refuses to write.
     try:
-        _COMMANDS[args.command](run)
+        _COMMANDS[args.command][0](run)
     except ArithmeticError as exc:
         print(f"qpamp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -2,9 +2,8 @@
 
 The format is INI-style with ``#`` comments.  Keys carry their units in the
 name (``thickness_nm``, ``v_ac_mv``) except in the ``[sweep]`` section,
-whose ``min``/``max`` are interpreted in the natural display unit of the
-swept variable: mV for ``bias_voltage``, V/um for ``bias_field``, nm for
-``plate_separation``, and dimensionless for ``pump_ratio``.
+whose ``min``/``max`` are in the display unit of the swept variable that its
+table column uses, from `sweep._SWEEP_UNITS` (mV for ``bias_voltage``).
 
 Each key's parser, default, SI scale and chain-object field are written
 once, in `_KEYS`; the echo order, the unknown-key check and the building of
@@ -25,9 +24,9 @@ from typing import Callable, NamedTuple
 
 from .amplifier import GridSpec
 from .errors import ConfigurationError
-from .material import MaterialParams, builtin_material
+from .material import _BUILTINS, MaterialParams, builtin_material
 from .resonator import CircuitParams, DriveSpec
-from .sweep import _SEARCH_WINDOW_V, SweepSpec
+from .sweep import _SEARCH_WINDOW_V, _SPACINGS, _SWEEP_UNITS, SweepSpec
 from .varactor import VaractorDesign
 
 __all__ = ["load_config", "Run", "command_run", "echo_lines", "config_text_from_output"]
@@ -95,19 +94,11 @@ class _Key(NamedTuple):
     scale: float = 1.0
 
 
-# Display-unit-to-SI scale and display unit of the sweep bounds, keyed by swept variable.
-_SWEEP_UNITS = {
-    "bias_voltage": (1e-3, "mV"),
-    "bias_field": (1e6, "V/um"),
-    "plate_separation": (1e-9, "nm"),
-    "pump_ratio": (1.0, ""),
-}
-
 # Section -> key -> meaning, in echo order.  The ``[sweep]`` section is
 # optional as a whole: absent, it resolves to None.
 _KEYS = {
     "material": {
-        "name": _Key(_choice("sto", "kto", "custom"), "sto"),
+        "name": _Key(_choice(*_BUILTINS, "custom"), "sto"),
         "eps00_rel": _Key(_parse_float, field="eps00_rel"),
         "curie_temp_k": _Key(_parse_float, field="curie_temp"),
         "debye_temp_k": _Key(_parse_float, field="debye_temp"),
@@ -136,7 +127,7 @@ _KEYS = {
         "min": _Key(_parse_float, MISSING),
         "max": _Key(_parse_float, MISSING),
         "count": _Key(_parse_int, MISSING),
-        "spacing": _Key(_choice("linear", "log"), "linear"),
+        "spacing": _Key(_choice(*_SPACINGS), "linear"),
     },
     "gain": {
         "xi_ratio": _Key(_parse_ratio_list),
@@ -195,10 +186,8 @@ def _read_file(path: str) -> dict:
 def _apply_overrides(raw: dict, overrides) -> None:
     for item in overrides:
         key_part, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
         section, dot, key = key_part.strip().partition(".")
-        if not dot:
+        if not (sep and dot):
             raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
         raw.setdefault(section.strip(), {})[key.strip().lower()] = value.strip()
 

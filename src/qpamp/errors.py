@@ -6,9 +6,24 @@ after that, a `NumericalError` (non-convergence, a flat working-point objective,
 a pump at or past the oscillation threshold) or any ``ValueError`` exits with 3.
 """
 
+import math
+
 
 class ConfigurationError(ValueError):
     """A configuration file, override, or parameter set is invalid."""
+
+
+def _require_finite(kind: str, record, positive=(), non_negative=()) -> None:
+    """Refuse a field in ``positive`` outside (0, inf), or in ``non_negative`` outside [0, inf).
+
+    The message quotes the field, so that the config layer can restate it under its key.
+    """
+    for name in positive:
+        if not 0.0 < getattr(record, name) < math.inf:
+            raise ConfigurationError(f"{kind} {name!r} must be finite and positive")
+    for name in non_negative:
+        if not 0.0 <= getattr(record, name) < math.inf:
+            raise ConfigurationError(f"{kind} {name!r} must be finite and non-negative")
 
 
 class NumericalError(RuntimeError):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _require_finite
 
 __all__ = [
     "MaterialParams",
@@ -117,16 +117,11 @@ class MaterialParams:
     temperature: float = 0.01
 
     def __post_init__(self):
-        for name in ("eps00_rel", "curie_temp", "debye_temp", "renorm_field"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"material parameter {name!r} must be finite and positive")
-        for name in ("inhomogeneity", "a1", "a2", "defect_density", "temperature"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"material parameter {name!r} must be finite and non-negative"
-                )
-        if self.a3 is not None and not 0.0 <= self.a3 < math.inf:
-            raise ConfigurationError("material parameter 'a3' must be finite and non-negative")
+        positive = ("eps00_rel", "curie_temp", "debye_temp", "renorm_field")
+        non_negative = ("inhomogeneity", "a1", "a2", "defect_density", "temperature")
+        if self.a3 is not None:  # None: the charged-defect channel is not characterised
+            non_negative += ("a3",)
+        _require_finite("material parameter", self, positive, non_negative)
         if not self.temperature < self.debye_temp / 10.0:
             raise ConfigurationError(
                 "low-temperature model requires 'temperature' < 'debye_temp' / 10"
@@ -193,7 +188,7 @@ _BUILTINS = {"sto": STO, "kto": KTO}
 
 
 def builtin_material(name: str) -> MaterialParams:
-    """Look up a built-in material by name ('sto' or 'kto')."""
+    """Look up a built-in material by name, in any case."""
     try:
         return _BUILTINS[name.lower()]
     except KeyError:

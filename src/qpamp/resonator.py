@@ -32,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _require_finite
 from .material import dielectric_response
 from .varactor import VaractorDesign, _voltage_derivatives, capacitance_derivatives
 
@@ -58,9 +58,7 @@ class CircuitParams:
     q_ext: float = 100.0
 
     def __post_init__(self):
-        for name in ("inductance", "q_ext"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"circuit parameter {name!r} must be finite and positive")
+        _require_finite("circuit parameter", self, ("inductance", "q_ext"))
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,12 @@ class DriveSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.v_ac < math.inf:
-            raise ConfigurationError("drive parameter 'v_ac' must be finite and non-negative")
+        _require_finite("drive parameter", self, non_negative=("v_ac",))
         if not math.isfinite(self.theta):
             raise ConfigurationError("drive parameter 'theta' must be finite")
+
+
+_UNDRIVEN = DriveSpec(v_ac=0.0)  # the linear mode's drive: no pump
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _xi(c, c1, drive: DriveSpec, circuit: CircuitParams):
 
 def mode(v0, design: VaractorDesign, circuit: CircuitParams) -> ModeCoefficients:
     """Linear mode constants and linewidths at bias v0: the record without couplings."""
-    return replace(operating_point(v0, DriveSpec(v_ac=0.0), design, circuit), k_eff=0.0)
+    return replace(operating_point(v0, _UNDRIVEN, design, circuit), k_eff=0.0)
 
 
 def three_wave_strength(v0, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams):
@@ -129,7 +129,7 @@ def kerr_strength(v0, design: VaractorDesign, circuit: CircuitParams):
 
     Even in v0 and maximal at zero bias for these materials.
     """
-    return operating_point(v0, DriveSpec(v_ac=0.0), design, circuit).k_eff
+    return operating_point(v0, _UNDRIVEN, design, circuit).k_eff
 
 
 def operating_point(

@@ -51,7 +51,15 @@ __all__ = [
     "maximize_3wm",
 ]
 
-SWEEP_VARIABLES = ("bias_voltage", "bias_field", "plate_separation", "pump_ratio")
+# Swept variable -> (SI value of its display unit, display unit), as its tables and config use.
+_SWEEP_UNITS = {
+    "bias_voltage": (1e-3, "mV"),
+    "bias_field": (1e6, "V/um"),
+    "plate_separation": (1e-9, "nm"),
+    "pump_ratio": (1.0, ""),
+}
+SWEEP_VARIABLES = tuple(_SWEEP_UNITS)
+_SPACINGS = ("linear", "log")
 
 _TWO_PI = 2.0 * math.pi
 # The default bias window [V] of the working-point search; `config` echoes it in mV.
@@ -82,8 +90,9 @@ class SweepSpec:
         for name in ("start", "stop"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"sweep {name!r} must be finite")
-        if self.spacing not in ("linear", "log"):
-            raise ConfigurationError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+        if self.spacing not in _SPACINGS:
+            spacings = " or ".join(map(repr, _SPACINGS))
+            raise ConfigurationError(f"spacing must be {spacings}, got {self.spacing!r}")
         if not isinstance(self.count, int) or self.count < 1:
             raise ConfigurationError("sweep 'count' must be >= 1")
         if self.count > 1 and not self.start < self.stop:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, NumericalError
+from .errors import NumericalError, _require_finite
 from .material import MaterialParams, _solve_cubic, eta, permittivity, permittivity_derivatives
 
 __all__ = [
@@ -102,9 +102,7 @@ class VaractorDesign:
     v_max: float = 1.0
 
     def __post_init__(self):
-        for name in ("plate_area", "thickness", "v_max"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"varactor parameter {name!r} must be finite and positive")
+        _require_finite("varactor parameter", self, ("plate_area", "thickness", "v_max"))
 
     def bias_field(self, voltage):
         """Film field E = v / d for a plate voltage v."""

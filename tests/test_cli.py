@@ -972,15 +972,15 @@ class TestOutputContract:
         assert "qpamp" in capsys.readouterr().out
 
     @staticmethod
-    def _loaded_after(package, steps, out_dir):
-        """The modules of ``package`` loaded after each step, run in turn in a fresh interpreter.
+    def _loaded_after(packages, steps, out_dir):
+        """The modules of ``packages`` loaded after each step, run in turn in a fresh interpreter.
 
         A step is a module name to import, a CLI argument list run with ``--out out_dir``,
         or a ``{"name": ..., "code": ...}`` snippet of Python to execute.
         """
         script = (
             "import importlib, json, sys\n"
-            "package, out, steps = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+            "packages, out, steps = sys.argv[1].split(','), sys.argv[2], json.loads(sys.argv[3])\n"
             "seen = {}\n"
             "for step in steps:\n"
             "    if isinstance(step, str):\n"
@@ -994,13 +994,13 @@ class TestOutputContract:
             "        if importlib.import_module('qpamp.cli').main([*step, '--out', out]) != 0:\n"
             "            seen[name] = 'failed'\n"
             "            continue\n"
-            "    seen[name] = sorted(m for m in sys.modules if m.split('.')[0] == package)\n"
+            "    seen[name] = sorted(m for m in sys.modules if m.split('.')[0] in packages)\n"
             "print(json.dumps(seen))\n"
         )
         src = str(Path(qpamp.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
-            [sys.executable, "-c", script, package, str(out_dir), json.dumps(steps)],
+            [sys.executable, "-c", script, ",".join(packages), str(out_dir), json.dumps(steps)],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
@@ -1008,19 +1008,25 @@ class TestOutputContract:
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout.splitlines()[-1])
 
+    # The 13-row log plate-separation table, which runs on Python floats.
+    GEOMETRY = ["--override=sweep.variable=plate_separation", "--override=sweep.min=100",
+                "--override=sweep.max=100000", "--override=sweep.count=13",
+                "--override=sweep.spacing=log"]
+    # The crystals of the library-path checks: STO, KTO and an ideal STO (lam_s = 0).
+    CRYSTALS = "(qpamp.STO, qpamp.KTO, replace(qpamp.STO, inhomogeneity=0.0))"
+
     def test_commands_run_without_scipy(self, tmp_path):
         # Neither the import nor any command loads scipy.
-        steps = ["qpamp.cli", ["material"], ["design"], ["gain"], ["sweep"]]
-        seen = self._loaded_after("scipy", steps, tmp_path)
-        assert seen == {k: [] for k in ("qpamp.cli", "material", "design", "gain", "sweep")}
+        steps = ["qpamp.cli", ["material"], ["design"], ["gain"], ["sweep"],
+                 ["sweep", *self.GEOMETRY]]
+        seen = self._loaded_after(("scipy",), steps, tmp_path)
+        names = [step if isinstance(step, str) else " ".join(step) for step in steps]
+        assert seen == {k: [] for k in names}
 
     def test_import_and_design_run_without_numpy(self, tmp_path):
         # Only `gain` and the bias-voltage sweep build arrays; these run on Python floats.
         field_table = ["--override=sweep.variable=bias_field", "--override=sweep.min=0",
                        "--override=sweep.max=10", "--override=sweep.count=401"]
-        geometry = ["--override=sweep.variable=plate_separation", "--override=sweep.min=100",
-                    "--override=sweep.max=100000", "--override=sweep.count=13",
-                    "--override=sweep.spacing=log"]
         steps = [
             "qpamp",
             "qpamp.cli",
@@ -1028,9 +1034,9 @@ class TestOutputContract:
             ["design", "--material", "kto"],
             ["material"],
             ["material", *field_table],
-            ["sweep", *geometry],
+            ["sweep", *self.GEOMETRY],
         ]
-        seen = self._loaded_after("numpy", steps, tmp_path)
+        seen = self._loaded_after(("numpy", "scipy"), steps, tmp_path)
         names = [step if isinstance(step, str) else " ".join(step) for step in steps]
         assert seen == {k: [] for k in names}
 
@@ -1039,7 +1045,7 @@ class TestOutputContract:
         code = (
             "from dataclasses import replace\n"
             "import qpamp\n"
-            "for material in (qpamp.STO, replace(qpamp.STO, inhomogeneity=0.0)):\n"
+            f"for material in {self.CRYSTALS}:\n"
             "    design = qpamp.VaractorDesign(16e-12, 200e-9, material)\n"
             "    q = qpamp.charge(0.1, design)\n"
             "    qpamp.energy(0.1, design)\n"
@@ -1047,22 +1053,23 @@ class TestOutputContract:
             "    qpamp.energy_and_derivatives(0.1, design)\n"
         )
         step = {"name": "charge path", "code": code}
-        for package in ("scipy", "numpy"):
-            assert self._loaded_after(package, [step], tmp_path) == {"charge path": []}
+        assert self._loaded_after(("numpy", "scipy"), [step], tmp_path) == {"charge path": []}
 
     def test_scalar_amplifier_path_runs_without_numpy(self, tmp_path):
         # One rate budget, R at the pumped centre and the compression estimate are floats.
         code = (
+            "from dataclasses import replace\n"
             "import qpamp\n"
-            "design = qpamp.VaractorDesign(16e-12, 200e-9, qpamp.STO)\n"
             "circuit = qpamp.CircuitParams(0.5e-9, 100.0)\n"
-            "rates = qpamp.rate_budget(9.3e-3, design, circuit)\n"
-            "r = qpamp.reflection(rates.omega_p / 2.0, 0.5 * rates.kappa / 2.0, rates)\n"
-            "assert type(r) is complex and abs(r) > 1.0\n"
-            "qpamp.compression_estimate(qpamp.kerr_strength(9.3e-3, design, circuit), rates)\n"
+            f"for material in {self.CRYSTALS}:\n"
+            "    design = qpamp.VaractorDesign(16e-12, 200e-9, material)\n"
+            "    rates = qpamp.rate_budget(0.1, design, circuit)\n"
+            "    r = qpamp.reflection(rates.omega_p / 2.0, 0.5 * rates.kappa / 2.0, rates)\n"
+            "    assert type(r) is complex and abs(r) > 1.0, r\n"
+            "    qpamp.compression_estimate(qpamp.kerr_strength(0.1, design, circuit), rates)\n"
         )
         step = {"name": "amplifier path", "code": code}
-        assert self._loaded_after("numpy", [step], tmp_path) == {"amplifier path": []}
+        assert self._loaded_after(("numpy", "scipy"), [step], tmp_path) == {"amplifier path": []}
 
     def test_console_script_is_wired(self, tmp_path):
         result = cli_process(["material", "--out", str(tmp_path)])
