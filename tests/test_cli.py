@@ -281,18 +281,6 @@ class TestConfigDiagnostics:
                 "config error: [material] name: must be one of sto, kto, custom, got 'foo'",
             ),
             (
-                ["sweep.variable=foo"],
-                2,
-                "config error: [sweep] variable: must be one of bias_voltage, bias_field, "
-                "plate_separation, pump_ratio, got 'foo'",
-            ),
-            (
-                ["sweep.variable=bias_voltage", "sweep.min=0", "sweep.max=1", "sweep.count=3",
-                 "sweep.spacing=cubic"],
-                2,
-                "config error: [sweep] spacing: must be one of linear, log, got 'cubic'",
-            ),
-            (
                 ["geometry.thickness_nm=-1"],
                 2,
                 "config error: [geometry] thickness_nm: must be finite and positive, got -1.0",
@@ -315,11 +303,11 @@ class TestConfigDiagnostics:
             # kappa_ext = omega0 / q_ext overflows: a valid config whose rate breaks RateBudget.
             (["circuit.q_ext=1e-300"], 3, "error: rate 'kappa_ext' must be finite and positive"),
         ],
-        ids=["material_name", "sweep_variable", "sweep_spacing", "thickness", "q_ext",
-             "half_span_kappa", "loss_a3", "kappa_ext_overflow"],
+        ids=["material_name", "thickness", "q_ext", "half_span_kappa", "loss_a3",
+             "kappa_ext_overflow"],
     )
     def test_message_is_pinned(self, tmp_path, capsys, overrides, code, message):
-        argv = ["sweep" if overrides[0].startswith("sweep.") else "design", "--out", str(tmp_path)]
+        argv = ["design", "--out", str(tmp_path)]
         for item in overrides:
             argv += ["--override", item]
         assert main(argv) == code
@@ -384,6 +372,17 @@ class TestConfigDiagnostics:
                 "gain",
                 ("pump_ratio", "-0.5", "0.5", "3", "linear"),
                 "[sweep] min: must be >= 0 for pump_ratio, got -0.5",
+            ),
+            (
+                "sweep",
+                ("foo", "0", "1", "3", "linear"),
+                "[sweep] variable: must be one of bias_voltage, bias_field, plate_separation, "
+                "pump_ratio, got 'foo'",
+            ),
+            (
+                "sweep",
+                ("bias_voltage", "0", "1", "3", "cubic"),
+                "[sweep] spacing: must be one of linear, log, got 'cubic'",
             ),
         ],
     )
