@@ -69,7 +69,7 @@ PUMP_RATIO = [
 ]
 
 
-def _bias(lo: str, hi: str, count: int, variable: str = "bias_voltage") -> list[str]:
+def _sweep(lo: str, hi: str, count: int, variable: str = "bias_voltage") -> list[str]:
     return [
         f"--override=sweep.{item}"
         for item in (f"variable={variable}", f"min={lo}", f"max={hi}", f"count={count}")
@@ -85,10 +85,10 @@ COMMANDS = {
     "geometry": ["sweep", *GEOMETRY],
     "gain_pump_ratio": ["gain", *PUMP_RATIO],
     "geometry_renorm": ["sweep", *GEOMETRY, "--override=material.renorm_field_v_per_um=100"],
-    "material_negative_field": ["material", *_bias("-5", "5", 11, "bias_field")],
-    "sweep_wide_bias": ["sweep", *_bias("-300", "900", 13)],
-    "sweep_one_point": ["sweep", *_bias("5", "5", 1)],
-    "design_far_window": ["design", *_bias("1e13", "2e13", 2)],
+    "material_negative_field": ["material", *_sweep("-5", "5", 11, "bias_field")],
+    "sweep_wide_bias": ["sweep", *_sweep("-300", "900", 13)],
+    "sweep_one_point": ["sweep", *_sweep("5", "5", 1)],
+    "design_far_window": ["design", *_sweep("1e13", "2e13", 2)],
     "gain_above_threshold": ["gain", "--override=gain.xi_ratio=1.2"],
     "design_undriven": ["design", "--override=drive.v_ac_mv=0"],
 }
