@@ -11,7 +11,6 @@ version, the error classes and `load_config`.
 """
 
 from . import amplifier, material, resonator, sweep, varactor
-from ._version import __version__
 from .amplifier import *  # noqa: F403
 from .config import load_config
 from .errors import ConfigurationError, NumericalError, ThresholdError
@@ -20,6 +19,7 @@ from .resonator import *  # noqa: F403
 from .sweep import *  # noqa: F403
 from .varactor import *  # noqa: F403
 
+__version__ = "0.1.0"  # pyproject.toml reads the package version from here
 __all__ = [
     "__version__",
     "ConfigurationError",

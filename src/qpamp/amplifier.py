@@ -51,6 +51,8 @@ __all__ = [
     "compression_estimate",
 ]
 
+_TWO_PI = 2.0 * math.pi  # rad/s per Hz; `sweep` and `cli` divide by it for display units
+
 
 @dataclass(frozen=True)
 class RateBudget:
@@ -124,10 +126,14 @@ class CompressionEstimate:
     p_dbm_angular: float
 
 
+def _rates(point) -> RateBudget:
+    """The rate budget of a working-point record, a `resonator.ModeCoefficients`."""
+    return RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
+
+
 def rate_budget(v0: float, design: VaractorDesign, circuit: CircuitParams) -> RateBudget:
     """Internal/external rates of the varactor resonator at bias v0, pumped at 2 omega0."""
-    point = operating_point(v0, _UNDRIVEN, design, circuit)
-    return RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
+    return _rates(operating_point(v0, _UNDRIVEN, design, circuit))
 
 
 def _above_threshold(xi_mag, half_kappa):
@@ -217,8 +223,7 @@ def gain_profile(
 ) -> GainProfile:
     """Gain profile of the physical design at bias v0, pumped at 2 omega0 by the drive."""
     point = operating_point(v0, drive, design, circuit)
-    rates = RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
-    return profile_from_rates(rates, abs(point.xi), grid)
+    return profile_from_rates(_rates(point), abs(point.xi), grid)
 
 
 def compression_estimate(
@@ -233,15 +238,16 @@ def compression_estimate(
     Raises
     ------
     ValueError
-        If ``k_eff`` (no Kerr limit to estimate) or the photon budget is not positive.
+        If the photon budget, or ``k_eff`` without one, is not positive, or ``k_eff`` is not finite.
     """
     if not k_eff > 0.0 and n_photons is None:
         raise ValueError("k_eff must be positive to set a Kerr-limited photon budget")
     n = rates.kappa / k_eff if n_photons is None else n_photons
     if not n > 0.0:
         raise ValueError("photon budget must be positive")
-    two_pi = 2.0 * math.pi
-    p_ordinary = n * hbar * (rates.omega0 / two_pi) * (rates.kappa / two_pi)
+    if not math.isfinite(k_eff):  # reached with a chosen budget only
+        raise ValueError("k_eff must be finite")
+    p_ordinary = n * hbar * (rates.omega0 / _TWO_PI) * (rates.kappa / _TWO_PI)
     p_angular = n * hbar * rates.omega0 * rates.kappa
     return CompressionEstimate(
         n_photons=n,

@@ -16,9 +16,10 @@ Four subcommands cover the main workflows:
 Every output file starts with a comment banner and the fully resolved
 configuration, so a run can be reproduced from any of its outputs.  `main` alone
 sets the exit code: 2 for an error while the configuration resolves or an I/O error,
-3 for any other error once the command runs.  The library turns overflow and 0/0
-into non-finite values, not floating-point warnings, and no file is written if a
-value is non-finite outside `_NON_FINITE_COLUMNS`.
+3 for any other error once the command runs.  A float power that overflows or a division
+by zero in the library raises an ``ArithmeticError``; other overflow, and 0/0 in its numpy
+arrays, give non-finite values, not warnings, and no file is written if a value is
+non-finite outside `_NON_FINITE_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import math
 import sys
 from pathlib import Path
 
-from ._version import __version__
-from .amplifier import RateBudget, compression_estimate, profile_from_rates
+from . import __version__
+from .amplifier import _TWO_PI, _rates, compression_estimate, profile_from_rates
 from .config import Run, command_run, echo_lines, load_config
 from .errors import NumericalError
 from .material import _BUILTINS
@@ -38,18 +39,14 @@ from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
 
 __all__ = ["main"]
 
-_TWO_PI = 2.0 * math.pi
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
 def _header(command: str, sections: dict) -> list[str]:
-    lines = [f"# qpamp {__version__} {command}"]
-    for text in echo_lines(sections):
-        lines.append(f"# {text}" if text else "#")
-    return lines
+    echo = (f"# {text}" if text else "#" for text in echo_lines(sections))
+    return [f"# qpamp {__version__} {command}", *echo]
 
 
 def _out_dir(run: Run) -> Path:
@@ -93,19 +90,26 @@ def cmd_material(run: Run) -> None:
     _write_csv(run, "material", result.columns, result.rows)
 
 
+def _warn_on_edge(point: str, window: str) -> None:
+    """Warn that the working point sits on the edge of its search window."""
+    print(
+        f"qpamp: warning: working-point {point} is on the edge of the search window {window}; "
+        "|xi| may peak outside it",
+        file=sys.stderr,
+    )
+
+
 def _working_point(run: Run):
     """(optimum, working-point record, rate budget) of the configured bias search window."""
     design, circuit, drive, window = run.design, run.circuit, run.drive, run.sweep
     best = maximize_3wm(design, circuit, drive, v_range=(window.start, window.stop))
     if best.on_window_edge:
-        print(
-            f"qpamp: warning: working-point bias {best.v0_max * 1e3:.6g} mV is on the edge of "
-            f"the search window [{window.start * 1e3:.6g}, {window.stop * 1e3:.6g}] mV; "
-            "|xi| may peak outside it",
-            file=sys.stderr,
+        _warn_on_edge(
+            f"bias {best.v0_max * 1e3:.6g} mV",
+            f"[{window.start * 1e3:.6g}, {window.stop * 1e3:.6g}] mV",
         )
     point = operating_point(best.v0_max, drive, design, circuit)
-    return best, point, RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
+    return best, point, _rates(point)
 
 
 def cmd_design(run: Run) -> None:
@@ -159,10 +163,11 @@ def cmd_gain(run: Run) -> None:
     rows = []
     for ratio in run.sections["gain"]["xi_ratio"]:
         profile = profile_from_rates(rates, ratio * rates.kappa / 2.0, run.grid)
-        gain_db = profile.gain_db
-        for i, omega in enumerate(profile.frequencies):
-            refl = profile.reflection[i]
-            rows.append((ratio, omega / _TWO_PI / 1e9, gain_db[i], refl.real, refl.imag))
+        freq_ghz = (profile.frequencies / _TWO_PI / 1e9).tolist()
+        rows.extend(
+            (ratio, f, g, r.real, r.imag)
+            for f, g, r in zip(freq_ghz, profile.gain_db.tolist(), profile.reflection.tolist())
+        )
 
     _write_csv(run, "gain", ("xi_ratio", "freq_ghz", "gain_db", "re_R", "im_R"), rows)
 
@@ -173,11 +178,7 @@ def cmd_sweep(run: Run) -> None:
     result = tabulate(run.sweep, run.design, run.circuit, run.drive)
     if result.on_window_edge:
         field = result.column("v0_max_mv")[0] / result.column("d_nm")[0]  # mV/nm = V/um
-        print(
-            f"qpamp: warning: working-point field {field:.6g} V/um is on the edge of the search "
-            "window of the plate-separation sweep; |xi| may peak outside it",
-            file=sys.stderr,
-        )
+        _warn_on_edge(f"field {field:.6g} V/um", "of the plate-separation sweep")
     _write_csv(run, "sweep", result.columns, result.rows)
 
 
@@ -195,9 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qpamp",
         description="Quantum-paraelectric varactor amplifier design tool.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
         print(f"qpamp: config error: {exc}", file=sys.stderr)
         return 2
     # Command phase: the config is valid, so a computed value that breaks a rule is numerical.
-    # Overflow and 0/0 reach a command as non-finite values, which it refuses to write.
+    # Overflowing float powers and divisions by zero raise; other overflow gives inf or NaN.
     try:
         _COMMANDS[args.command][0](run)
     except ArithmeticError as exc:

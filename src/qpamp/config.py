@@ -23,7 +23,7 @@ from dataclasses import MISSING, fields
 from typing import Callable, NamedTuple
 
 from .amplifier import GridSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _one_of
 from .material import _BUILTINS, MaterialParams, builtin_material
 from .resonator import CircuitParams, DriveSpec
 from .sweep import _SEARCH_WINDOW_V, _SPACINGS, _SWEEP_UNITS, SweepSpec
@@ -69,12 +69,15 @@ def _choice(*words: str) -> Callable[[str, str, str], str]:
     def parse(section: str, key: str, raw: str) -> str:
         word = raw.lower()
         if word not in words:
-            raise ConfigurationError(
-                f"[{section}] {key}: must be one of {', '.join(words)}, got {word!r}"
-            )
+            raise ConfigurationError(f"[{section}] {key}: {_one_of(words, word)}")
         return word
 
     return parse
+
+
+def _defaults(cls) -> dict:
+    """Field -> default of a chain-object dataclass, ``MISSING`` for a field without one."""
+    return {f.name: f.default for f in fields(cls)}
 
 
 class _Key(NamedTuple):
@@ -116,23 +119,25 @@ _KEYS = {
     },
     "circuit": {
         "inductance_nh": _Key(_parse_float, 0.5, "inductance", 1e-9),
-        "q_ext": _Key(_parse_float, 100.0, "q_ext"),
+        "q_ext": _Key(_parse_float, _defaults(CircuitParams)["q_ext"], "q_ext"),
     },
     "drive": {
         "v_ac_mv": _Key(_parse_float, 1.0, "v_ac", 1e-3),
-        "theta_rad": _Key(_parse_float, 0.0, "theta"),
+        "theta_rad": _Key(_parse_float, _defaults(DriveSpec)["theta"], "theta"),
     },
     "sweep": {
         "variable": _Key(_choice(*_SWEEP_UNITS), MISSING),
         "min": _Key(_parse_float, MISSING),
         "max": _Key(_parse_float, MISSING),
         "count": _Key(_parse_int, MISSING),
-        "spacing": _Key(_choice(*_SPACINGS), "linear"),
+        "spacing": _Key(_choice(*_SPACINGS), _defaults(SweepSpec)["spacing"]),
     },
     "gain": {
         "xi_ratio": _Key(_parse_ratio_list),
-        "count": _Key(_parse_int, 801, "count"),
-        "half_span_kappa": _Key(_parse_float, 4.0, "half_span_kappa"),
+        "count": _Key(_parse_int, _defaults(GridSpec)["count"], "count"),
+        "half_span_kappa": _Key(
+            _parse_float, _defaults(GridSpec)["half_span_kappa"], "half_span_kappa"
+        ),
     },
     "output": {
         "path": _Key(_parse_path, "out"),
@@ -157,10 +162,7 @@ _COMMAND_SWEEPS = {
 
 def _material_defaults(name: str) -> dict:
     """Config-key view of a built-in crystal, or of the custom-crystal defaults."""
-    if name == "custom":
-        source = {f.name: f.default for f in fields(MaterialParams)}
-    else:
-        source = vars(builtin_material(name))
+    source = _defaults(MaterialParams) if name == "custom" else vars(builtin_material(name))
     defaults = {}
     for key, spec in _KEYS["material"].items():
         if spec.field is not None:
@@ -396,16 +398,10 @@ def echo_lines(sections: dict) -> list[str]:
     lines = []
     for section, keys in _KEYS.items():
         entries = sections.get(section)
-        if not entries:
-            continue
-        lines.append(f"[{section}]")
-        for key in keys:
-            if entries.get(key) is not None:
-                lines.append(f"{key} = {_format_value(entries[key])}")
-        lines.append("")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+        if entries:  # a blank line before each section; the first one is dropped
+            shown = [key for key in keys if entries.get(key) is not None]
+            lines += ["", f"[{section}]", *(f"{k} = {_format_value(entries[k])}" for k in shown)]
+    return lines[1:]
 
 
 def config_text_from_output(path: str) -> str:

@@ -26,6 +26,11 @@ def _require_finite(kind: str, record, positive=(), non_negative=()) -> None:
             raise ConfigurationError(f"{kind} {name!r} must be finite and non-negative")
 
 
+def _one_of(words, got: str) -> str:
+    """The rule that ``got`` is one of ``words``, as the library and the config layer word it."""
+    return f"must be one of {', '.join(words)}, got {got!r}"
+
+
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or found nothing to optimise."""
 

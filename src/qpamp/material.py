@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, _require_finite
+from .errors import ConfigurationError, _one_of, _require_finite
 
 __all__ = [
     "MaterialParams",
@@ -192,9 +192,7 @@ def builtin_material(name: str) -> MaterialParams:
     try:
         return _BUILTINS[name.lower()]
     except KeyError:
-        raise ConfigurationError(
-            f"unknown material {name!r}; built-ins are {sorted(_BUILTINS)}"
-        ) from None
+        raise ConfigurationError(f"material 'name' {_one_of(_BUILTINS, name)}") from None
 
 
 def normalized_bias(bias_field, params: MaterialParams):

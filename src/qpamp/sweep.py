@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .amplifier import _above_threshold
-from .errors import ConfigurationError, NumericalError
+from .amplifier import _TWO_PI, _above_threshold
+from .errors import ConfigurationError, NumericalError, _one_of
 from .material import MaterialParams, dielectric_response
 from .resonator import (
     CircuitParams,
@@ -61,7 +61,6 @@ _SWEEP_UNITS = {
 SWEEP_VARIABLES = tuple(_SWEEP_UNITS)
 _SPACINGS = ("linear", "log")
 
-_TWO_PI = 2.0 * math.pi
 # The default bias window [V] of the working-point search; `config` echoes it in mV.
 _SEARCH_WINDOW_V = (0.0, 0.25)
 
@@ -84,15 +83,12 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
-            raise ConfigurationError(
-                f"unknown sweep variable {self.variable!r}; choose from {SWEEP_VARIABLES}"
-            )
+            raise ConfigurationError(f"sweep 'variable' {_one_of(SWEEP_VARIABLES, self.variable)}")
         for name in ("start", "stop"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"sweep {name!r} must be finite")
         if self.spacing not in _SPACINGS:
-            spacings = " or ".join(map(repr, _SPACINGS))
-            raise ConfigurationError(f"spacing must be {spacings}, got {self.spacing!r}")
+            raise ConfigurationError(f"sweep 'spacing' {_one_of(_SPACINGS, self.spacing)}")
         if not isinstance(self.count, int) or self.count < 1:
             raise ConfigurationError("sweep 'count' must be >= 1")
         if self.count > 1 and not self.start < self.stop:

@@ -378,3 +378,9 @@ class TestCompression:
             compression_estimate(math.nan, LOSSLESS)
         with pytest.raises(ValueError, match="photon budget must be positive"):
             compression_estimate(1.0, LOSSLESS, n_photons=math.nan)
+
+    @pytest.mark.parametrize("k_eff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kerr_raises_with_a_chosen_budget(self, k_eff):
+        # The budget does not read k_eff, but a non-finite one still gives no finite power.
+        with pytest.raises(ValueError, match="k_eff must be finite"):
+            compression_estimate(k_eff, LOSSLESS, n_photons=1e8)

@@ -280,7 +280,7 @@ class TestParams:
             builtin_material("batio3")
         with pytest.raises(ConfigurationError) as excinfo:
             builtin_material("foo")
-        assert str(excinfo.value) == "unknown material 'foo'; built-ins are ['kto', 'sto']"
+        assert str(excinfo.value) == "material 'name' must be one of sto, kto, got 'foo'"
 
     def test_table_values(self):
         assert STO.eps00_rel == 2080.0

@@ -119,12 +119,12 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError) as excinfo:
             SweepSpec("foo", 0, 1, 2)
         assert str(excinfo.value) == (
-            "unknown sweep variable 'foo'; choose from "
-            "('bias_voltage', 'bias_field', 'plate_separation', 'pump_ratio')"
+            "sweep 'variable' must be one of "
+            "bias_voltage, bias_field, plate_separation, pump_ratio, got 'foo'"
         )
         with pytest.raises(ConfigurationError) as excinfo:
             SweepSpec("bias_voltage", 0, 1, 2, "cubic")
-        assert str(excinfo.value) == "spacing must be 'linear' or 'log', got 'cubic'"
+        assert str(excinfo.value) == "sweep 'spacing' must be one of linear, log, got 'cubic'"
         with pytest.raises(ConfigurationError):
             SweepSpec("plate_separation", 0.0, 1e-4, 5, spacing="log")
         with pytest.raises(ConfigurationError, match="plate_separation"):

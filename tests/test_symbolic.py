@@ -3,6 +3,8 @@
 Each test derives an expression with sympy and compares it exactly with the one the code
 evaluates: the code runs on sympy symbols, or, where a form is a set of local
 coefficients, its assignments are read from the function's source and run on symbols.
+Where the code reads a module global (``hbar``, ``epsilon_0``, the cubic's root), the
+test puts a symbol in its place.
 Float literals in the code (``16.0 / 3.0`` and the like) are read as the simplest
 rational whose nearest double they are, so a changed coefficient does not compare equal.
 """
@@ -17,8 +19,10 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from qpamp import resonator, varactor  # noqa: E402
 from qpamp.amplifier import _half_power_offset  # noqa: E402
 from qpamp.material import _derivatives  # noqa: E402
+from qpamp.varactor import energy_and_derivatives  # noqa: E402
 
 y, eta, eps00, e_n, lam_s = sp.symbols("y eta eps00 E_N lam_s", positive=True)
 u, x, ke, kappa, half = sp.symbols("u x k_e kappa h", positive=True)
@@ -97,3 +101,70 @@ def test_half_power_quadratic():
     implemented = _assigned(_half_power_offset, namespace, ("A", "B", "C"))
     for impl, expected in zip(implemented, derived):
         assert _same(impl, expected)
+
+
+# The capacitance and its voltage derivatives at the working point.
+c, c1, c2 = sp.symbols("C C1 C2", real=True)
+
+
+def _charge_derivatives():
+    """U'', U''' and U'''' in C, C' and C'', derived from dU/dq = v and dq/dv = C.
+
+    U'' = dv/dq = 1/C, and each further charge derivative is (1/C) d/dv.
+    """
+    v = sp.Symbol("v", real=True)
+    cap = sp.Function("C")(v)
+    derivatives = [1 / cap]
+    for _ in range(2):
+        derivatives.append(sp.diff(derivatives[-1], v) / cap)
+    in_c = [(cap.diff(v, 2), c2), (cap.diff(v), c1), (cap, c)]
+    return [d.subs(in_c) for d in derivatives]
+
+
+def test_energy_derivatives():
+    namespace = {
+        "capacitance_derivatives": lambda voltage, design: (c, c1, c2),
+        "_moments": lambda voltage, design: (None, None),
+        "voltage": None,
+        "design": None,
+    }
+    implemented = _assigned(energy_and_derivatives, namespace, ("u2", "u3", "u4"))
+    for impl, derived in zip(implemented, _charge_derivatives()):
+        assert _same(impl, derived)
+
+
+def test_charge_and_voltage_forms_of_the_couplings(monkeypatch):
+    # The charge forms of the resonator docstring, xi = -U''' q_ac q_zpf**2 / (2 hbar) and
+    # K_eff = U'''' q_zpf**4 / (2 hbar), against the voltage forms operating_point writes.
+    hbar, inductance, v_ac = sp.symbols("hbar L v_ac", positive=True)
+    monkeypatch.setattr(resonator, "hbar", hbar)
+    monkeypatch.setattr(resonator, "_voltage_derivatives", lambda *args: (c, c1, c2))
+    response = SimpleNamespace(eps_rel=None, deps_dE=None, d2eps_dE2=None, loss_tangent=0)
+    monkeypatch.setattr(resonator, "dielectric_response", lambda field, material: response)
+    design = SimpleNamespace(bias_field=lambda v0: v0, material=None)
+    drive = SimpleNamespace(v_ac=v_ac, theta=0.0)
+    circuit = SimpleNamespace(inductance=inductance, q_ext=1)
+    with sp.evaluate(False):  # so that no float power is rounded before `_rational` reads it
+        point = resonator.operating_point(0, drive, design, circuit)
+    _, u3, u4 = _charge_derivatives()
+    q_zpf2 = hbar / (2 * sp.sqrt(inductance / c))
+    assert _same(point.xi, -u3 * (v_ac * c) * q_zpf2 / (2 * hbar))
+    assert _same(point.k_eff, u4 * q_zpf2**2 / (2 * hbar))
+
+
+def test_ideal_crystal_moments(monkeypatch):
+    # With lam_s = 0 the normalised field x = |v| / (d E_N) runs along the cubic, x = LAM(y),
+    # so q = integral C dv and U = integral v C dv become integrals over the root.
+    eps_0, area, d, v = sp.symbols("epsilon_0 A d v", positive=True)
+    monkeypatch.setattr(varactor, "epsilon_0", eps_0)
+    monkeypatch.setattr(varactor, "eta", lambda material: eta)
+    monkeypatch.setattr(varactor, "_solve_cubic", lambda x, eta_value: y)
+    monkeypatch.setattr(varactor, "_check_range", lambda voltage, design: None)
+    material = SimpleNamespace(eps00_rel=eps00, renorm_field=e_n, inhomogeneity=0)
+    q, u = varactor._moments(v, SimpleNamespace(plate_area=area, thickness=d, material=material))
+
+    s = sp.Symbol("s", positive=True)
+    # C dv = (eps0 A eps00 G / d) (d E_N dx), with dx = LAM'(y) dy.
+    c_dv = (eps_0 * area * eps00 * e_n * sp.cancel(G * sp.diff(LAM, y))).subs(y, s)
+    assert _same(q, sp.integrate(c_dv, (s, 0, y)))
+    assert _same(u, sp.integrate(d * e_n * LAM.subs(y, s) * c_dv, (s, 0, y)))
