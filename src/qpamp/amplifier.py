@@ -29,10 +29,9 @@ kappa) since both appear in the literature and they differ by ~16 dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigurationError, ThresholdError, _require_finite
+from .errors import ConfigurationError, ThresholdError, _Record, _require_finite
 from .resonator import _UNDRIVEN, CircuitParams, DriveSpec, hbar, operating_point
 from .varactor import VaractorDesign
 
@@ -54,8 +53,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi  # rad/s per Hz; `sweep` and `cli` divide by it for display units
 
 
-@dataclass(frozen=True)
-class RateBudget:
+class RateBudget(_Record):
     """Linewidth budget of the amplifier mode at one working point.
 
     The pump sits at exactly twice the mode frequency, ``omega_p = 2 omega0``.
@@ -65,7 +63,7 @@ class RateBudget:
     kappa_int: float
     kappa_ext: float
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("rate", self, ("omega0", "kappa_ext"), ("kappa_int",))
 
     @property
@@ -85,22 +83,20 @@ class RateBudget:
         return self.omega0 / self.kappa_ext
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Frequency grid for gain profiles: points spanning +- half_span_kappa * kappa."""
 
     count: int = 801
     half_span_kappa: float = 4.0
 
-    def __post_init__(self):
+    def _check(self):
         # An odd count puts a sample on the pumped center, where the 3-dB width is measured.
         if not isinstance(self.count, int) or self.count < 3 or self.count % 2 == 0:
             raise ConfigurationError("grid 'count' must be odd and at least 3")
         _require_finite("grid", self, ("half_span_kappa",))
 
 
-@dataclass(frozen=True)
-class GainProfile:
+class GainProfile(NamedTuple):
     """Sampled reflection curve plus its headline numbers.
 
     ``gain_db`` is ``20 log10|reflection|`` per sample.  ``bandwidth`` is the
@@ -117,8 +113,7 @@ class GainProfile:
     pump_ratio: float
 
 
-@dataclass(frozen=True)
-class CompressionEstimate:
+class CompressionEstimate(NamedTuple):
     """Kerr-limited photon number and the corresponding circulating power."""
 
     n_photons: float

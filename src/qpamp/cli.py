@@ -40,10 +40,6 @@ from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
 __all__ = ["main"]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _header(command: str, sections: dict) -> list[str]:
     echo = (f"# {text}" if text else "#" for text in echo_lines(sections))
     return [f"# qpamp {__version__} {command}", *echo]
@@ -79,7 +75,8 @@ def _write_csv(run: Run, command: str, columns, rows) -> None:
     path = _out_dir(run) / f"{command}.csv"
     lines = _header(command, run.sections)
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    template = ",".join(["%.17g"] * len(columns))  # the bytes of format(value, ".17g")
+    lines.extend(template % row for row in rows)
     _write_lines(path, lines)
     print(f"wrote {path} ({len(rows)} rows)")
 
@@ -150,7 +147,7 @@ def cmd_design(run: Run) -> None:
     out = _out_dir(run)
     _write_lines(out / "design.txt", _header("design", sections) + report)
     kv = [f"material = {sections['material']['name']}"]
-    kv.extend(f"{key} = {_fmt(value)}" for key, _, _, value in rows)
+    kv.extend(f"{key} = %.17g" % value for key, _, _, value in rows)
     _write_lines(out / "design.kv", _header("design", sections) + kv)
 
     print("\n".join(report + [f"wrote {out / name}" for name in ("design.txt", "design.kv")]))

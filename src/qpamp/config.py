@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, fields
 from typing import Callable, NamedTuple
 
 from .amplifier import GridSpec
@@ -75,15 +74,13 @@ def _choice(*words: str) -> Callable[[str, str, str], str]:
     return parse
 
 
-def _defaults(cls) -> dict:
-    """Field -> default of a chain-object dataclass, ``MISSING`` for a field without one."""
-    return {f.name: f.default for f in fields(cls)}
+_REQUIRED = object()  # the default of a key that must be given
 
 
 class _Key(NamedTuple):
     """One config key: parser, default (display units), chain-object field, SI scale.
 
-    A ``MISSING`` default makes the key required and a None default leaves it
+    A ``_REQUIRED`` default makes the key required and a None default leaves it
     unset.  ``[material]`` numbers default to the named crystal, or for
     ``custom`` to the `MaterialParams` field defaults (required where the
     field has none).  The rules on a value belong to the chain object that
@@ -119,24 +116,24 @@ _KEYS = {
     },
     "circuit": {
         "inductance_nh": _Key(_parse_float, 0.5, "inductance", 1e-9),
-        "q_ext": _Key(_parse_float, _defaults(CircuitParams)["q_ext"], "q_ext"),
+        "q_ext": _Key(_parse_float, CircuitParams._field_defaults["q_ext"], "q_ext"),
     },
     "drive": {
         "v_ac_mv": _Key(_parse_float, 1.0, "v_ac", 1e-3),
-        "theta_rad": _Key(_parse_float, _defaults(DriveSpec)["theta"], "theta"),
+        "theta_rad": _Key(_parse_float, DriveSpec._field_defaults["theta"], "theta"),
     },
     "sweep": {
-        "variable": _Key(_choice(*_SWEEP_UNITS), MISSING),
-        "min": _Key(_parse_float, MISSING),
-        "max": _Key(_parse_float, MISSING),
-        "count": _Key(_parse_int, MISSING),
-        "spacing": _Key(_choice(*_SPACINGS), _defaults(SweepSpec)["spacing"]),
+        "variable": _Key(_choice(*_SWEEP_UNITS), _REQUIRED),
+        "min": _Key(_parse_float, _REQUIRED),
+        "max": _Key(_parse_float, _REQUIRED),
+        "count": _Key(_parse_int, _REQUIRED),
+        "spacing": _Key(_choice(*_SPACINGS), SweepSpec._field_defaults["spacing"]),
     },
     "gain": {
         "xi_ratio": _Key(_parse_ratio_list),
-        "count": _Key(_parse_int, _defaults(GridSpec)["count"], "count"),
+        "count": _Key(_parse_int, GridSpec._field_defaults["count"], "count"),
         "half_span_kappa": _Key(
-            _parse_float, _defaults(GridSpec)["half_span_kappa"], "half_span_kappa"
+            _parse_float, GridSpec._field_defaults["half_span_kappa"], "half_span_kappa"
         ),
     },
     "output": {
@@ -162,11 +159,12 @@ _COMMAND_SWEEPS = {
 
 def _material_defaults(name: str) -> dict:
     """Config-key view of a built-in crystal, or of the custom-crystal defaults."""
-    source = _defaults(MaterialParams) if name == "custom" else vars(builtin_material(name))
+    custom = name == "custom"
+    source = MaterialParams._field_defaults if custom else builtin_material(name)._asdict()
     defaults = {}
     for key, spec in _KEYS["material"].items():
         if spec.field is not None:
-            value = source[spec.field]
+            value = source.get(spec.field, _REQUIRED)
             defaults[key] = value / spec.scale if isinstance(value, float) else value
     return defaults
 
@@ -214,7 +212,7 @@ def _resolve(section: str, entries: dict) -> dict:
             value = spec.parse(section, key, entries[key])
         else:
             value = defaults.get(key, spec.default)
-            if value is MISSING:
+            if value is _REQUIRED:
                 raise ConfigurationError(f"[{section}] {key} has no default and must be given")
         resolved[key] = value
         if key == "name":  # the crystal sets the defaults of the material keys after it

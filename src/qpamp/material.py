@@ -42,9 +42,9 @@ array of fields, returning arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConfigurationError, _one_of, _require_finite
+from .errors import ConfigurationError, _one_of, _Record, _require_finite
 
 __all__ = [
     "MaterialParams",
@@ -72,8 +72,7 @@ def eta(params: MaterialParams) -> float:
     return (params.debye_temp / params.curie_temp) * math.sqrt(1.0 / 16.0 + t_ratio * t_ratio) - 1.0
 
 
-@dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(_Record):
     """Cryogenic parameter set of one quantum-paraelectric crystal.
 
     Parameters
@@ -116,7 +115,7 @@ class MaterialParams:
     defect_density: float = 0.0
     temperature: float = 0.01
 
-    def __post_init__(self):
+    def _check(self):
         positive = ("eps00_rel", "curie_temp", "debye_temp", "renorm_field")
         non_negative = ("inhomogeneity", "a1", "a2", "defect_density", "temperature")
         if self.a3 is not None:  # None: the charged-defect channel is not characterised
@@ -139,8 +138,7 @@ class MaterialParams:
             )
 
 
-@dataclass(frozen=True)
-class DielectricResponse:
+class DielectricResponse(NamedTuple):
     """Dielectric state of a material at one bias field (or an array of them).
 
     ``eps_rel``, ``deps_dE`` and ``d2eps_dE2`` are those of

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .errors import ConfigurationError, _require_finite
+from .errors import ConfigurationError, _Record, _require_finite
 from .material import dielectric_response
 from .varactor import VaractorDesign, _voltage_derivatives, capacitance_derivatives
 
@@ -50,25 +50,23 @@ __all__ = [
 hbar = 1.0545718176461565e-34
 
 
-@dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(_Record):
     """Fixed linear circuit around the varactor: shunt inductance and external Q."""
 
     inductance: float
     q_ext: float = 100.0
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("circuit parameter", self, ("inductance", "q_ext"))
 
 
-@dataclass(frozen=True)
-class DriveSpec:
+class DriveSpec(_Record):
     """Pump drive: AC voltage amplitude across the varactor and pump phase."""
 
     v_ac: float
     theta: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("drive parameter", self, non_negative=("v_ac",))
         if not math.isfinite(self.theta):
             raise ConfigurationError("drive parameter 'theta' must be finite")
@@ -77,8 +75,7 @@ class DriveSpec:
 _UNDRIVEN = DriveSpec(v_ac=0.0)  # the linear mode's drive: no pump
 
 
-@dataclass(frozen=True)
-class ModeCoefficients:
+class ModeCoefficients(NamedTuple):
     """The working-point record, from one chain evaluation at a float or an array of biases.
 
     ``c`` is C(v0) [F]; ``eps_rel`` and ``loss_tangent`` describe the film.  The linewidths
@@ -105,13 +102,16 @@ class ModeCoefficients:
 
 def _xi(c, c1, drive: DriveSpec, circuit: CircuitParams):
     # v_zpf**2 = q_zpf**2 / C**2 with q_zpf**2 = hbar / (2 z0).
-    v_zpf2 = hbar / (2.0 * (circuit.inductance / c) ** 0.5) / (c * c)
+    try:
+        v_zpf2 = hbar / (2.0 * (circuit.inductance / c) ** 0.5) / (c * c)
+    except ZeroDivisionError:  # a float C below about 1e-162 F, whose square underflows
+        v_zpf2 = math.inf  # so that |xi| is not finite, and the search says so
     return c1 * drive.v_ac * v_zpf2 / (2.0 * hbar) * cmath.exp(-1j * drive.theta)
 
 
 def mode(v0, design: VaractorDesign, circuit: CircuitParams) -> ModeCoefficients:
     """Linear mode constants and linewidths at bias v0: the record without couplings."""
-    return replace(operating_point(v0, _UNDRIVEN, design, circuit), k_eff=0.0)
+    return operating_point(v0, _UNDRIVEN, design, circuit)._replace(k_eff=0.0)
 
 
 def three_wave_strength(v0, drive: DriveSpec, design: VaractorDesign, circuit: CircuitParams):

@@ -24,11 +24,10 @@ by the column names; everything inside the physics modules stays SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .amplifier import _TWO_PI, _above_threshold
-from .errors import ConfigurationError, NumericalError, _one_of
+from .errors import ConfigurationError, NumericalError, _one_of, _Record
 from .material import MaterialParams, dielectric_response
 from .resonator import (
     CircuitParams,
@@ -65,8 +64,7 @@ _SPACINGS = ("linear", "log")
 _SEARCH_WINDOW_V = (0.0, 0.25)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """One swept variable over [start, stop] with count points.
 
     A single-point sweep (count = 1, taken at ``start``) is allowed as a
@@ -81,7 +79,7 @@ class SweepSpec:
     count: int
     spacing: str = "linear"
 
-    def __post_init__(self):
+    def _check(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigurationError(f"sweep 'variable' {_one_of(SWEEP_VARIABLES, self.variable)}")
         for name in ("start", "stop"):
@@ -116,8 +114,7 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count - 1)] + [hi]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Ordered, column-labelled table of sweep rows; ``on_window_edge`` is the
     `Optimum.on_window_edge` of the search that a `geometry_sweep` table rests on."""
 
@@ -130,8 +127,7 @@ class SweepResult:
         return [row[i] for row in self.rows]
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     """Result of the three-wave working-point search.
 
     ``on_window_edge`` is true when ``v0_max`` lies within the search
@@ -303,8 +299,7 @@ def geometry_sweep(
     # The thickest film has the widest voltage window, so it resolves E* finest.  The
     # reference design's *field* window is kept, so E* stays inside the trusted range.
     d_search = max(points)
-    search = replace(
-        design,
+    search = design._replace(
         plate_area=design.plate_area / design.thickness * d_search,
         thickness=d_search,
         v_max=design.v_max * d_search / design.thickness,

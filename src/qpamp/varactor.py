@@ -53,9 +53,9 @@ iterate leaves the trusted range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import NumericalError, _require_finite
+from .errors import NumericalError, _Record, _require_finite
 from .material import MaterialParams, _solve_cubic, eta, permittivity, permittivity_derivatives
 
 __all__ = [
@@ -86,8 +86,7 @@ _GAUSS_LEGENDRE_16 = (
 )
 
 
-@dataclass(frozen=True)
-class VaractorDesign:
+class VaractorDesign(_Record):
     """Plate geometry plus film material.
 
     ``v_max`` bounds the bias range the design is trusted over (charge
@@ -101,7 +100,7 @@ class VaractorDesign:
     material: MaterialParams
     v_max: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("varactor parameter", self, ("plate_area", "thickness", "v_max"))
 
     def bias_field(self, voltage):
@@ -109,8 +108,7 @@ class VaractorDesign:
         return voltage / self.thickness
 
 
-@dataclass(frozen=True)
-class ChargePoint:
+class ChargePoint(NamedTuple):
     """Energy expansion of a varactor at one DC working point.
 
     ``u2``, ``u3``, ``u4`` are the second, third and fourth derivatives of

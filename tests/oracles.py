@@ -18,7 +18,6 @@ plate-separation table that the scaling laws replaced.
 """
 
 import math
-from dataclasses import replace
 
 from scipy.integrate import quad
 
@@ -233,8 +232,7 @@ def geometry_rows_per_design(points, design, circuit, drive) -> list[tuple[float
     field_max = 0.25 / design.thickness
 
     def scaled(thickness):
-        return replace(
-            design,
+        return design._replace(
             plate_area=area_ratio * thickness,
             thickness=thickness,
             v_max=design.v_max * thickness / design.thickness,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,7 +360,7 @@ class TestCompression:
         assert est2.n_photons == pytest.approx(2.0 * est1.n_photons, rel=1e-12)
 
     def test_omega_override(self):
-        est = compression_estimate(TWO_PI * 0.1, replace(LOSSLESS, omega0=TWO_PI * 4e9))
+        est = compression_estimate(TWO_PI * 0.1, LOSSLESS._replace(omega0=TWO_PI * 4e9))
         base = compression_estimate(TWO_PI * 0.1, LOSSLESS)
         assert est.p_dbm_ordinary - base.p_dbm_ordinary == pytest.approx(
             10.0 * math.log10(2.0), abs=1e-9

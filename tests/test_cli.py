@@ -1012,7 +1012,7 @@ class TestOutputContract:
                 "--override=sweep.max=100000", "--override=sweep.count=13",
                 "--override=sweep.spacing=log"]
     # The crystals of the library-path checks: STO, KTO and an ideal STO (lam_s = 0).
-    CRYSTALS = "(qpamp.STO, qpamp.KTO, replace(qpamp.STO, inhomogeneity=0.0))"
+    CRYSTALS = "(qpamp.STO, qpamp.KTO, qpamp.STO._replace(inhomogeneity=0.0))"
 
     def test_commands_run_without_scipy(self, tmp_path):
         # Neither the import nor any command loads scipy.
@@ -1039,10 +1039,23 @@ class TestOutputContract:
         names = [step if isinstance(step, str) else " ".join(step) for step in steps]
         assert seen == {k: [] for k in names}
 
+    def test_import_and_float_commands_load_neither_dataclasses_nor_inspect(self, tmp_path):
+        # The records are defined without the dataclasses machinery, which loads inspect.
+        steps = [
+            "qpamp",
+            "qpamp.cli",
+            ["design", "--material", "sto"],
+            ["design", "--material", "kto"],
+            ["material"],
+            ["sweep", *self.GEOMETRY],
+        ]
+        seen = self._loaded_after(("dataclasses", "inspect"), steps, tmp_path)
+        names = [step if isinstance(step, str) else " ".join(step) for step in steps]
+        assert seen == {k: [] for k in names}
+
     def test_charge_path_runs_without_scipy_or_numpy(self, tmp_path):
         # Charge, energy, inversion and expansion sum a fixed rule on Python floats.
         code = (
-            "from dataclasses import replace\n"
             "import qpamp\n"
             f"for material in {self.CRYSTALS}:\n"
             "    design = qpamp.VaractorDesign(16e-12, 200e-9, material)\n"
@@ -1057,7 +1070,6 @@ class TestOutputContract:
     def test_scalar_amplifier_path_runs_without_numpy(self, tmp_path):
         # One rate budget, R at the pumped centre and the compression estimate are floats.
         code = (
-            "from dataclasses import replace\n"
             "import qpamp\n"
             "circuit = qpamp.CircuitParams(0.5e-9, 100.0)\n"
             f"for material in {self.CRYSTALS}:\n"

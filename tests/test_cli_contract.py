@@ -106,3 +106,16 @@ def test_every_run_keeps_the_exit_contract(args):
                 continue
             for name, value in written_values(path):
                 assert math.isfinite(value) or documented(name, value), (path.name, name, value)
+
+
+@pytest.mark.parametrize("command", ["design", "gain"])
+def test_an_underflowing_capacitance_square_names_the_three_wave_strength(command, tmp_path):
+    # A 1e-150 um^2 plate gives C near 4e-163 F, whose square underflows to 0: |xi| is then
+    # not finite, which the working-point search reports, not a bare ZeroDivisionError.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([command, "--override", "geometry.area_um2=1e-150", "--out", str(tmp_path)])
+    assert rc == 3 and list(tmp_path.iterdir()) == []
+    assert err.getvalue() == (
+        "qpamp: error: three-wave strength is not finite on the search grid (0.0, 0.25)\n"
+    )

@@ -12,11 +12,14 @@ call is surface without a user.
 
 A NaN or infinite float argument makes a public function of the five chain
 modules raise or return a non-finite result, never an all-finite one.
+
+The seven validated input records refuse a field that breaks their rules
+however they are built, refuse assignment, and print, compare and hash by
+their fields as the frozen dataclasses they replaced did.
 """
 
 import ast
 import cmath
-import dataclasses
 import importlib
 import inspect
 import math
@@ -27,7 +30,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpamp import NumericalError
+from qpamp import (
+    KTO,
+    STO,
+    CircuitParams,
+    ConfigurationError,
+    DriveSpec,
+    GridSpec,
+    NumericalError,
+    RateBudget,
+    SweepSpec,
+    VaractorDesign,
+)
 
 LAYERS = ("material", "varactor", "resonator", "amplifier", "sweep", "config", "cli")
 
@@ -133,9 +147,9 @@ def _numbers(value):
     elif isinstance(value, tuple):
         for item in value:
             yield from _numbers(item)
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _numbers(getattr(value, field.name))
+    elif hasattr(value, "_fields"):  # a record that is not a tuple
+        for name in value._fields:
+            yield from _numbers(getattr(value, name))
     else:
         yield complex(value)
 
@@ -152,7 +166,7 @@ def test_a_non_finite_float_gives_no_all_finite_answer(function, parameter, slot
 
     from qpamp import KTO, STO, CircuitParams, DriveSpec, GridSpec, VaractorDesign, rate_budget
 
-    materials = st.sampled_from([STO, KTO, dataclasses.replace(STO, inhomogeneity=0.0)])
+    materials = st.sampled_from([STO, KTO, STO._replace(inhomogeneity=0.0)])
     circuit = CircuitParams(0.5e-9)
     rates = rate_budget(0.01, VaractorDesign(16e-12, 200e-9, STO), circuit)
     valid = {
@@ -193,3 +207,77 @@ def test_a_non_finite_float_gives_no_all_finite_answer(function, parameter, slot
         assert not all(map(cmath.isfinite, _numbers(result))), (arguments, result)
 
     check()
+
+
+_STO_REPR = (
+    "MaterialParams(eps00_rel=2080.0, curie_temp=42.0, debye_temp=175.0, renorm_field=1930000.0, "
+    "inhomogeneity=0.018, a1=0.000245, a2=0.00245, a3=None, defect_density=0.0, temperature=0.01)"
+)
+# Name -> (record, its fields, its repr, a field, a value that field's rules refuse, the refusal).
+# The reprs are those of the frozen dataclasses the records were, and their hash was that
+# of the tuple of fields.
+VALIDATED_INPUTS = {
+    "STO": (
+        STO, (2080.0, 42.0, 175.0, 1.93e6, 0.018, 2.45e-4, 2.45e-3, None, 0.0, 0.01), _STO_REPR,
+        "a1", -1.0, "material parameter 'a1' must be finite and non-negative",
+    ),
+    "KTO": (
+        KTO,
+        (1390.0, 32.5, 170.0, 1.56e6, 0.020, 2.06e-4, 4.0e-4, None, 0.0, 0.01),
+        "MaterialParams(eps00_rel=1390.0, curie_temp=32.5, debye_temp=170.0, "
+        "renorm_field=1560000.0, inhomogeneity=0.02, a1=0.000206, a2=0.0004, a3=None, "
+        "defect_density=0.0, temperature=0.01)",
+        "temperature", 20.0, "low-temperature model requires 'temperature' < 'debye_temp' / 10",
+    ),
+    "VaractorDesign": (
+        VaractorDesign(16e-12, 200e-9, STO),
+        (16e-12, 200e-9, STO, 1.0),
+        f"VaractorDesign(plate_area=1.6e-11, thickness=2e-07, material={_STO_REPR}, v_max=1.0)",
+        "plate_area", 0.0, "varactor parameter 'plate_area' must be finite and positive",
+    ),
+    "CircuitParams": (
+        CircuitParams(0.5e-9), (0.5e-9, 100.0), "CircuitParams(inductance=5e-10, q_ext=100.0)",
+        "inductance", -1.0, "circuit parameter 'inductance' must be finite and positive",
+    ),
+    "DriveSpec": (
+        DriveSpec(1e-3), (1e-3, 0.0), "DriveSpec(v_ac=0.001, theta=0.0)",
+        "theta", math.nan, "drive parameter 'theta' must be finite",
+    ),
+    "RateBudget": (
+        RateBudget(6e10, 2e7, 1e8),
+        (6e10, 2e7, 1e8),
+        "RateBudget(omega0=60000000000.0, kappa_int=20000000.0, kappa_ext=100000000.0)",
+        "kappa_int", -1.0, "rate 'kappa_int' must be finite and non-negative",
+    ),
+    "GridSpec": (
+        GridSpec(), (801, 4.0), "GridSpec(count=801, half_span_kappa=4.0)",
+        "count", 4, "grid 'count' must be odd and at least 3",
+    ),
+    "SweepSpec": (
+        SweepSpec("bias_voltage", 0.0, 0.25, 11),
+        ("bias_voltage", 0.0, 0.25, 11, "linear"),
+        "SweepSpec(variable='bias_voltage', start=0.0, stop=0.25, count=11, spacing='linear')",
+        "count", 0, "sweep 'count' must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATED_INPUTS.values(), ids=VALIDATED_INPUTS)
+def test_a_validated_input_keeps_its_rules_and_its_identity(case):
+    record, values, shown, name, bad, refusal = case
+    cls = type(record)
+    assert cls(*values) == record == cls(**dict(zip(cls._fields, values)))
+    assert record != values and record._asdict() == dict(zip(cls._fields, values))
+    assert repr(record) == shown and hash(record) == hash(values)
+    broken = tuple(bad if field == name else value for field, value in zip(cls._fields, values))
+    for build in (
+        lambda: cls(*broken),
+        lambda: cls(**dict(zip(cls._fields, broken))),
+        lambda: record._replace(**{name: bad}),
+    ):
+        with pytest.raises(ConfigurationError) as refused:
+            build()
+        assert str(refused.value) == refusal
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, bad)
+    assert getattr(record, name) == values[cls._fields.index(name)]

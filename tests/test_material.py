@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -300,7 +299,7 @@ class TestParams:
     def test_zero_eta_rejected_at_construction(self):
         # 168 K = 4 * 42 K at T = 0: the quantum critical point, eta = 0 exactly.
         with pytest.raises(ConfigurationError, match="eta = 0,"):
-            replace(STO, debye_temp=168.0, temperature=0.0)
+            STO._replace(debye_temp=168.0, temperature=0.0)
 
     @pytest.mark.parametrize(
         "name",

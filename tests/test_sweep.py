@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,8 +250,8 @@ class TestMaximize:
         [
             (STO, 9.318749),
             (KTO, 66.330674),
-            (replace(STO, inhomogeneity=0.0), 4.062505),
-            (replace(STO, inhomogeneity=0.025), 12.322046),
+            (STO._replace(inhomogeneity=0.0), 4.062505),
+            (STO._replace(inhomogeneity=0.025), 12.322046),
         ],
         ids=["sto", "kto", "ideal-sto", "sto-0.025"],
     )
@@ -260,7 +259,7 @@ class TestMaximize:
         # Closed-form optima, to 1 nV: |xi| ~ C' C**-1.5 peaks where z = y**2, y the cubic's
         # root, is the positive root of 2z^4 + 17 eta z^3 + 45 eta^2 z^2
         # + (27 eta^3 - 20 lambda_s^2) z - (27 eta^4 + 44 eta lambda_s^2).
-        design = replace(STO_DESIGN, material=material)
+        design = STO_DESIGN._replace(material=material)
         assert abs(oracle_optimum(design) * 1e3 - v0_mv) <= 5e-7
 
     def test_optimum_within_half_the_bracket_of_an_oracle(self):
@@ -272,8 +271,8 @@ class TestMaximize:
         @settings(max_examples=20, derandomize=True, deadline=None, database=None)
         @given(st.floats(172.0, 260.0), st.floats(0.0, 0.05))
         def check(debye_temp, inhomogeneity):
-            material = replace(STO, debye_temp=debye_temp, inhomogeneity=inhomogeneity)
-            design = replace(STO_DESIGN, material=material)
+            material = STO._replace(debye_temp=debye_temp, inhomogeneity=inhomogeneity)
+            design = STO_DESIGN._replace(material=material)
             best = maximize_3wm(design, CIRCUIT, DRIVE)
             assert abs(best.v0_max - oracle_optimum(design)) <= 0.5e-6
 
@@ -312,7 +311,7 @@ class TestMaximize:
 
     def test_underflowing_objective(self):
         # v_zpf**2 underflows on a huge plate, so |xi| is exactly 0 at every grid point.
-        huge = replace(STO_DESIGN, plate_area=1e288)
+        huge = STO_DESIGN._replace(plate_area=1e288)
         with pytest.raises(NumericalError, match="underflows to zero"):
             maximize_3wm(huge, CIRCUIT, DRIVE)
 
@@ -429,12 +428,12 @@ class TestGeometrySweep:
     @pytest.mark.parametrize("count", [1, 12, 13, 50])
     @pytest.mark.parametrize(
         "material",
-        [STO, KTO, replace(STO, inhomogeneity=0.0), CUSTOM],
+        [STO, KTO, STO._replace(inhomogeneity=0.0), CUSTOM],
         ids=["sto", "kto", "ideal_sto", "custom"],
     )
     def test_rows_match_a_design_per_row(self, material, count):
         # Against the table built from a design of its own per row.
-        design = replace(STO_DESIGN, material=material)
+        design = STO_DESIGN._replace(material=material)
         spec = SweepSpec("plate_separation", 1e-7, 1e-4, count, spacing="log")
         result = geometry_sweep(spec, design, CIRCUIT, DRIVE)
         want = geometry_rows_per_design(spec.points(), design, CIRCUIT, DRIVE)
@@ -453,8 +452,7 @@ class TestGeometrySweep:
         for d, v0_mv, xi_mhz in zip(
             spec.points(), result.column("v0_max_mv"), result.column("xi_max_mhz")
         ):
-            scaled = replace(
-                design,
+            scaled = design._replace(
                 plate_area=area_ratio * d,
                 thickness=d,
                 v_max=design.v_max * d / design.thickness,

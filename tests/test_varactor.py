@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from qpamp import (
 STO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=STO)
 KTO_DESIGN = VaractorDesign(plate_area=16e-12, thickness=200e-9, material=KTO)
 # An ideal crystal (lam_s = 0), where the Newton start is already the root.
-IDEAL_DESIGN = VaractorDesign(16e-12, 200e-9, replace(STO, inhomogeneity=0.0))
+IDEAL_DESIGN = VaractorDesign(16e-12, 200e-9, STO._replace(inhomogeneity=0.0))
 DESIGNS = {"sto": STO_DESIGN, "kto": KTO_DESIGN, "ideal": IDEAL_DESIGN}
 BIASES = [s * v for v in (1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0) for s in (1.0, -1.0)]
 # The disorder floors the quadrature grid spans: from nearly ideal films, whose
@@ -128,7 +127,7 @@ class TestCharge:
     @pytest.mark.parametrize("lam_s", INHOMOGENEITIES)
     @pytest.mark.parametrize("base", [STO, KTO], ids=["sto", "kto"])
     def test_against_adaptive_quadrature(self, base, lam_s, thickness):
-        design = VaractorDesign(16e-12, thickness, replace(base, inhomogeneity=lam_s))
+        design = VaractorDesign(16e-12, thickness, base._replace(inhomogeneity=lam_s))
         for v in GRID_BIASES:
             q_ref = quad_adaptive(lambda u: capacitance(u, design), 0.0, v)
             u_ref = quad_adaptive(lambda u: u * capacitance(u, design), 0.0, v)
@@ -147,10 +146,10 @@ class TestCharge:
     def test_floor_effect_bound(self, base):
         # A floor lowers q and U by at most (4/9) lam_s**2 / eta**3 relative; below
         # 1e-17 eta**3 that is under rounding, and the ideal forms are used.
-        ideal = VaractorDesign(16e-12, 200e-9, replace(base, inhomogeneity=0.0))
+        ideal = VaractorDesign(16e-12, 200e-9, base._replace(inhomogeneity=0.0))
         eta3 = eta(base) ** 3
         for lam_s in (1e-6, 1e-5, 1e-300, 1e-320):
-            design = VaractorDesign(16e-12, 200e-9, replace(base, inhomogeneity=lam_s))
+            design = VaractorDesign(16e-12, 200e-9, base._replace(inhomogeneity=lam_s))
             bound = (4.0 / 9.0) * lam_s**2 / eta3
             for v in (1e-4, 0.01, -1.0):
                 for func in (charge, energy):

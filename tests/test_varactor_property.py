@@ -1,7 +1,5 @@
 """Round trip of the charge inversion over material, film thickness and bias."""
 
-from dataclasses import replace
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -9,7 +7,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qpamp import KTO, STO, VaractorDesign, charge, voltage_from_charge  # noqa: E402
 
-MATERIALS = {"sto": STO, "kto": KTO, "ideal": replace(STO, inhomogeneity=0.0)}
+MATERIALS = {"sto": STO, "kto": KTO, "ideal": STO._replace(inhomogeneity=0.0)}
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
