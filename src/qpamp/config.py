@@ -17,7 +17,6 @@ header, so any output file doubles as a reproducible configuration.
 
 from __future__ import annotations
 
-import configparser
 import math
 from typing import Callable, NamedTuple
 
@@ -170,6 +169,8 @@ def _material_defaults(name: str) -> dict:
 
 
 def _read_file(path: str) -> dict:
+    import configparser
+
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";"), strict=True
     )

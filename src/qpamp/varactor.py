@@ -18,12 +18,14 @@ processes downstream:
 evaluated at the working point).
 
 `charge` and `energy` read one routine, `_moments`, that integrates C(u) and
-u C(u) over [0, |v|] together, at the same nodes.
+u C(u) over [0, |v|] together, at the same nodes; it integrates any interval
+[|v_a|, |v_b|] the same way, which the inversion below uses.
 
 * Ideal crystal (lam_s = 0): closed forms in the cubic's root y at
   x = |v| / (d E_N), since ``G dx = (3/2) dy`` along the cubic:
   ``q = (3/2) eps0 A eps00_rel E_N y`` and
-  ``U = (3/4) eps0 A eps00_rel d E_N**2 (y**4 / 4 + (3/2) eta y**2)``.
+  ``U = (3/4) eps0 A eps00_rel d E_N**2 (y**4 / 4 + (3/2) eta y**2)``;
+  an interval takes their difference between its ends.
   A floor lam_s > 0 lowers q and U by at most (4/9) lam_s**2 / eta**3
   relative, so a floor with lam_s**2 <= 1e-17 eta**3 takes these forms too:
   they are then exact to rounding, while t below would run out to
@@ -33,21 +35,24 @@ u C(u) over [0, |v|] together, at the same nodes.
   sqrt(lam_s**2 + x**2) at x = +-i lam_s, close to the real axis when lam_s
   is small.  The only singularities left are the cubic's branch points
   lam = +-i eta**(3/2), at t = +-knee + i pi/2 (repeated every i pi), with
-  knee = asinh(eta**(3/2) / lam_s).  [0, asinh(|v| / a)] is cut at the
-  knee, each part is split into equal panels at most pi wide, and each panel
-  is summed by a 16-point Gauss-Legendre rule.  The rule's error falls like
-  rho**(-32), where rho is the Bernstein-ellipse parameter of the nearest
-  singularity (Trefethen, SIAM Rev. 50, 2008).  A singularity pi/2 above the
-  end of a panel pi wide gives rho = 2.89, an error near 1e-15.  The cut
-  keeps it from sitting above a panel's middle (rho = 2.41), and the width
-  bound keeps it from sitting closer than one half-width.  Each node is one
-  call of the module-global `capacitance`, whose value enters both sums.
+  knee = asinh(eta**(3/2) / lam_s).  [asinh(|v_a| / a), asinh(|v_b| / a)]
+  is cut at the knee, each part is split into equal panels at most pi wide,
+  and each panel is summed by a 16-point Gauss-Legendre rule.  The rule's
+  error falls like rho**(-32), where rho is the Bernstein-ellipse parameter
+  of the nearest singularity (Trefethen, SIAM Rev. 50, 2008).  A singularity
+  pi/2 above the end of a panel pi wide gives rho = 2.89, an error near
+  1e-15.  The cut keeps it from sitting above a panel's middle (rho = 2.41),
+  and the width bound keeps it from sitting closer than one half-width.
+  Each node is one call of the module-global `capacitance`, whose value
+  enters both sums.
 
 `voltage_from_charge` inverts q(v) by Newton steps with dq/dv = C(v),
 started from the closed-form inverse of an ideal crystal (lam_s = 0).  That
 start never lies beyond the root and q is concave in |v|, so the iterates
-rise monotonically and need no bracket; q(v_max) is integrated only when an
-iterate leaves the trusted range.
+rise monotonically and need no bracket.  Only the start's charge is a full
+integral; each later iterate's charge is the last one's plus the integral
+over the step between them.  q(v_max) is integrated only when an iterate
+leaves the trusted range.
 """
 
 from __future__ import annotations
@@ -162,9 +167,10 @@ def _ideal_charge_per_root(design: VaractorDesign) -> float:
     return 1.5 * epsilon_0 * design.plate_area * material.eps00_rel * material.renorm_field
 
 
-def _moments(voltage: float, design: VaractorDesign) -> tuple[float, float]:
-    """(|q|, U): integral_0^|v| of C(u) and of u C(u), as in the module docstring.
+def _moments(voltage: float, design: VaractorDesign, start: float = 0.0) -> tuple[float, float]:
+    """Integrals of C(u) and of u C(u) over [|start|, |v|], as in the module docstring.
 
+    Both are negative when |v| < |start|; from the default start they are (|q|, U).
     Ideal crystals take the closed forms; otherwise both integrands are summed
     at the same Gauss-Legendre nodes in t, one `capacitance` call per node.
     """
@@ -173,15 +179,24 @@ def _moments(voltage: float, design: VaractorDesign) -> tuple[float, float]:
     eta_val = eta(material)
     # The floor changes q and U by less than rounding (module docstring).
     if material.inhomogeneity**2 <= 1e-17 * eta_val**3:
-        y = _solve_cubic(abs(voltage) / (design.thickness * material.renorm_field), eta_val)
         per_root = _ideal_charge_per_root(design)
         scale = 0.5 * design.thickness * material.renorm_field * per_root
-        return per_root * y, scale * y**2 * (0.25 * y**2 + 1.5 * eta_val)
+        q = u_c = 0.0
+        for sign, end in ((1.0, voltage), (-1.0, start)):
+            if end:
+                y = _solve_cubic(abs(end) / (design.thickness * material.renorm_field), eta_val)
+                q += sign * per_root * y
+                u_c += sign * scale * y**2 * (0.25 * y**2 + 1.5 * eta_val)
+        return q, u_c
     scale = design.thickness * material.renorm_field * material.inhomogeneity
+    begin = math.asinh(abs(start) / scale)
     end = math.asinh(abs(voltage) / scale)
+    sign = 1.0
+    if end < begin:
+        begin, end, sign = end, begin, -1.0
     knee = math.asinh(eta_val**1.5 / material.inhomogeneity)
     q = u_c = 0.0
-    for lo, hi in ((0.0, min(end, knee)), (knee, end)):
+    for lo, hi in ((begin, min(end, knee)), (max(begin, knee), end)):
         if not lo < hi:
             continue
         panels = math.ceil((hi - lo) / math.pi)
@@ -195,7 +210,7 @@ def _moments(voltage: float, design: VaractorDesign) -> tuple[float, float]:
                     w = half * weight * math.cosh(t)
                     q += w * c
                     u_c += w * (u * c)
-    return scale * q, scale * u_c
+    return sign * scale * q, sign * scale * u_c
 
 
 def charge(voltage: float, design: VaractorDesign) -> float:
@@ -221,8 +236,14 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
     near the root the residual q - q(v) is rounding in the sums, whose steps
     no longer point at the root.
 
-    q(v_max), the costliest integral, is computed only when an iterate
-    leaves [-v_max, v_max]; the iterate is then clamped to the window edge.
+    The start's charge is the one full integral.  Each later iterate
+    carries its charge forward, q(v_{k+1}) = q(v_k) + integral of C over
+    [v_k, v_{k+1}], so a step integrates only its own increment: one
+    16-node panel for a step that stays on one side of the knee.  An
+    iterate on the other side of zero from the last takes a full integral
+    instead.  q(v_max) is computed only when an iterate leaves
+    [-v_max, v_max]; the iterate is then clamped to the window edge and
+    carries q(v_max).
 
     Raises
     ------
@@ -239,6 +260,8 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
         0.5 * design.thickness * material.renorm_field * y * (y * y + 3.0 * eta(material)), q
     )
     q_max = None
+    # The last iterate whose charge is known, and that charge (at first none: 0).
+    v_known = q_known = 0.0
     step = math.inf
     for _ in range(50):
         # Negated tests: a NaN or infinite q leaves the window and is refused here.
@@ -251,9 +274,15 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
                     f"(v_max = {design.v_max} V)"
                 )
             v = math.copysign(design.v_max, q)
+            v_known, q_known = v, math.copysign(q_max, q)
         if abs(step) <= 4.0 * math.ulp(v):
             return v
-        last, step = step, (q - charge(v, design)) / capacitance(v, design)
+        if v * v_known > 0.0:
+            q_known += math.copysign(_moments(v, design, v_known)[0], v)
+        else:  # the start, or a step across zero
+            q_known = charge(v, design)
+        v_known = v
+        last, step = step, (q - q_known) / capacitance(v, design)
         if not abs(step) < abs(last):
             return v
         v += step

@@ -580,6 +580,17 @@ class TestGainCommand:
         ratios = sorted(set(column(columns, rows, "xi_ratio")))
         assert ratios == pytest.approx([0.2, 0.4, 0.6])
 
+    def test_ratios_from_pump_ratio_sweep_from_zero(self, tmp_path):
+        # A pump-ratio sweep may start at 0, the unpumped resonator.
+        overrides = ["sweep.variable=pump_ratio", "sweep.min=0", "sweep.max=0.5",
+                     "sweep.count=3", "gain.count=5"]
+        argv = ["gain", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 0
+        _, columns, rows = read_table(tmp_path / "gain.csv")
+        assert sorted(set(column(columns, rows, "xi_ratio"))) == [0.0, 0.25, 0.5]
+
     def test_above_threshold_exits_3(self, tmp_path, capsys):
         rc = main(
             ["gain", "--out", str(tmp_path), "--override", "gain.xi_ratio=1.1"]
@@ -1052,6 +1063,20 @@ class TestOutputContract:
         seen = self._loaded_after(("dataclasses", "inspect"), steps, tmp_path)
         names = [step if isinstance(step, str) else " ".join(step) for step in steps]
         assert seen == {k: [] for k in names}
+
+    def test_configparser_loads_only_for_a_config_file(self, tmp_path):
+        # Only a --config run reads an INI file; the import and other commands skip its parser.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[geometry]\nthickness_nm = 200\n")
+        steps = ["qpamp.cli", ["design", "--material", "sto"], ["material"],
+                 ["design", "--config", str(cfg)]]
+        seen = self._loaded_after(("configparser",), steps, tmp_path)
+        assert seen == {
+            "qpamp.cli": [],
+            "design --material sto": [],
+            "material": [],
+            f"design --config {cfg}": ["configparser"],
+        }
 
     def test_charge_path_runs_without_scipy_or_numpy(self, tmp_path):
         # Charge, energy, inversion and expansion sum a fixed rule on Python floats.

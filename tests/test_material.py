@@ -251,6 +251,17 @@ class TestLoss:
             total = resp.tan_delta_1 + resp.tan_delta_2 + resp.tan_delta_3
             assert resp.loss_tangent == total
 
+    def test_breakdown_sums_with_charged_defects(self):
+        # On KTO tan_delta_3 = 0, so only a doped crystal holds the defect loss in the total.
+        doped = lossless(
+            a1=2e-4, a2=1e-3, a3=2e-4, defect_density=0.5, inhomogeneity=0.01, temperature=2.0
+        )
+        for field in (0.0, 1e5, 2e6):
+            resp = dielectric_response(field, doped)
+            assert resp.tan_delta_1 > 0.0 and resp.tan_delta_3 > 0.0
+            total = resp.tan_delta_1 + resp.tan_delta_2 + resp.tan_delta_3
+            assert resp.loss_tangent == total
+
     def test_ideal_cold_crystal_is_lossless_at_zero_bias(self):
         assert dielectric_response(0.0, lossless(a1=2e-4, a2=1e-3)).loss_tangent == 0.0
 

@@ -104,6 +104,11 @@ class TestSweepSpec:
         spec = SweepSpec("bias_voltage", 0.0, 0.0, 1)
         assert spec.points() == [0.0]
 
+    def test_pump_ratio_from_zero(self):
+        # A pump ratio is a magnitude: 0 (no pump) is a valid start, unlike a negative one.
+        spec = SweepSpec("pump_ratio", 0.0, 0.5, 3)
+        assert spec.points() == [0.0, 0.25, 0.5]
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SweepSpec("bias_voltage", 0.25, 0.0, 5)  # empty range

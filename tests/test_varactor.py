@@ -44,6 +44,18 @@ INHOMOGENEITIES = [
 GRID_BIASES = [s * 10.0 ** (k / 2.0 - 6.0) for k in range(13) for s in (1.0, -1.0)]
 
 
+def _linear_moments(monkeypatch, slope):
+    """Make the integrator a charge q = slope * v; returns the (v, start) of each call."""
+    calls = []
+
+    def moments(v, design, start=0.0):
+        calls.append((v, start))
+        return slope * (abs(v) - abs(start)), 0.0
+
+    monkeypatch.setattr(qpamp.varactor, "_moments", moments)
+    return calls
+
+
 class TestCapacitance:
     def test_endpoints(self):
         # Quoted design values for a (4 um)^2 plate on a 200 nm film.
@@ -122,6 +134,20 @@ class TestCharge:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             charge(1.5, STO_DESIGN)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_interval_integrals(self, name):
+        # The inversion's increments: C and u C over [|a|, |b|], short steps and long ones
+        # across the knee, against adaptive quadrature; swapping the ends flips the signs.
+        design = DESIGNS[name]
+        for a, b in ((1e-3, 1.001e-3), (0.01, 0.1), (0.05, 0.9), (-0.3, -0.31)):
+            q, u = qpamp.varactor._moments(b, design, a)
+            lo, hi = abs(a), abs(b)
+            q_ref = quad_adaptive(lambda x: capacitance(x, design), lo, hi)
+            u_ref = quad_adaptive(lambda x: x * capacitance(x, design), lo, hi)
+            assert q == pytest.approx(q_ref, rel=1e-12, abs=0.0), (a, b)
+            assert u == pytest.approx(u_ref, rel=1e-12, abs=0.0), (a, b)
+            assert qpamp.varactor._moments(a, design, b) == (-q, -u)
 
     @pytest.mark.parametrize("thickness", [100e-9, 400e-9, 5e-6])
     @pytest.mark.parametrize("lam_s", INHOMOGENEITIES)
@@ -214,9 +240,11 @@ class TestInversion:
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_charge_calls(self, name, monkeypatch):
-        # Newton needs few integrals, and q(v_max) only when an iterate leaves the window.
+        # One full integral per inversion, at the Newton start inside the window; each
+        # later step integrates only its own increment.  q(v_max) is integrated only
+        # when an iterate leaves the window, which rounding can do at the window edges.
         design = DESIGNS[name]
-        targets = [charge(v, design) for v in BIASES if abs(v) < design.v_max]
+        targets = {v: charge(v, design) for v in BIASES}
         seen = []
 
         def counted(v, d):
@@ -224,18 +252,72 @@ class TestInversion:
             return charge(v, d)
 
         monkeypatch.setattr(qpamp.varactor, "charge", counted)
-        for q in targets:
+        for v, q in targets.items():
             seen.clear()
             voltage_from_charge(q, design)
-            assert 1 <= len(seen) <= 8, seen
-            assert all(abs(v) < design.v_max for v in seen), seen
+            assert abs(seen[0]) < design.v_max and seen[0] * v > 0.0, seen
+            if abs(v) < design.v_max:
+                assert len(seen) == 1, seen
+            assert seen[1:] in ([], [design.v_max]), seen
+
+    @pytest.mark.parametrize(
+        "name, v, calls",
+        [("sto", 0.01, 118), ("sto", 0.1, 118), ("sto", 0.5, 117), ("kto", 0.1, 84)],
+    )
+    def test_capacitance_calls(self, name, v, calls, monkeypatch):
+        # The exact node and step count of one inversion: one full integral of 32-64
+        # nodes, a 16-node panel per increment and one C(v) per Newton step.  It pins
+        # the panel width, the knee cut and the Newton start, which move no result
+        # beyond rounding but change this count.
+        design = DESIGNS[name]
+        q = charge(v, design)
+        seen = []
+
+        def counted(u, d):
+            seen.append(u)
+            return capacitance(u, d)
+
+        monkeypatch.setattr(qpamp.varactor, "capacitance", counted)
+        assert voltage_from_charge(q, design) == pytest.approx(v, rel=1e-14, abs=0.0)
+        assert len(seen) == calls
+
+    def test_clamped_start_carries_q_at_the_window_edge(self, monkeypatch):
+        # A charge 10x steeper than C(0), with C to match, puts the Newton start past a
+        # 2 uV window edge.  The clamped iterate carries q(v_max), the one full
+        # integral, and the next step lands on the root.
+        slope = 10.0 * capacitance(0.0, STO_DESIGN)
+        design = VaractorDesign(16e-12, 200e-9, STO, v_max=2e-6)
+        full = []
+
+        def counted(v, d):
+            full.append(v)
+            return charge(v, d)
+
+        monkeypatch.setattr(qpamp.varactor, "charge", counted)
+        monkeypatch.setattr(qpamp.varactor, "capacitance", lambda v, d: slope)
+        _linear_moments(monkeypatch, slope)
+        assert voltage_from_charge(slope * 1e-6, design) == pytest.approx(1e-6, rel=1e-12)
+        assert full == [2e-6]
 
     def test_unsettled_steps_raise(self, monkeypatch):
         # Against a charge 10x shallower than C, each step closes a tenth of the gap.
+        # The start takes the one full integral and the 49 later steps an increment each.
         slope = capacitance(0.0, STO_DESIGN) / 10.0
-        monkeypatch.setattr(qpamp.varactor, "charge", lambda v, d: slope * v)
+        calls = _linear_moments(monkeypatch, slope)
         with pytest.raises(NumericalError, match="did not converge"):
             voltage_from_charge(slope * 1e-3, STO_DESIGN)
+        starts = [start for _, start in calls]
+        assert starts[0] == 0.0 and len(starts) == 50
+        assert all(0.0 < a < b for a, b in zip(starts[1:], starts[2:])), starts
+
+    def test_step_across_zero_takes_a_full_integral(self, monkeypatch):
+        # Against a charge 10x steeper than C the first step overshoots past zero.  The
+        # new iterate's charge is then integrated from 0, not carried across zero.
+        slope = 10.0 * capacitance(0.0, STO_DESIGN)
+        calls = _linear_moments(monkeypatch, slope)
+        voltage_from_charge(slope * 1e-6, STO_DESIGN)
+        assert [start for _, start in calls[:2]] == [0.0, 0.0], calls
+        assert calls[0][0] > 0.0 > calls[1][0], calls
 
 
 class TestEnergy:
