@@ -18,7 +18,8 @@ internal loss from the film's loss tangent, external coupling from q_ext.
 
 `reflection` is plain arithmetic: a float omega gives a complex, an array an array.
 Only `profile_from_rates` imports numpy; it samples the curve with numpy's warnings
-off, so overflow and 0/0 give inf and NaN samples.
+off, so overflow and 0/0 give inf and NaN samples.  The rows of ``qpamp gain`` take
+the same grid, `_frequencies`, and the same 20 log10|R|, `_decibels`, on Python floats.
 
 `compression_estimate` turns the Kerr-limited photon budget ``N = kappa /
 k_eff`` into a circulating-power scale, reported in two common conventions
@@ -131,10 +132,6 @@ def rate_budget(v0: float, design: VaractorDesign, circuit: CircuitParams) -> Ra
     return _rates(operating_point(v0, _UNDRIVEN, design, circuit))
 
 
-def _above_threshold(xi_mag, half_kappa):
-    return xi_mag * xi_mag >= half_kappa**2
-
-
 def reflection(omega, xi_mag: float, rates: RateBudget):
     """Complex reflection coefficient R(omega) below threshold.
 
@@ -143,12 +140,35 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
     if not xi_mag >= 0.0:
         raise ValueError("xi_mag must be non-negative")
     half_kappa = rates.kappa / 2.0
-    if _above_threshold(xi_mag, half_kappa):
+    if xi_mag * xi_mag >= half_kappa**2:
         raise ThresholdError(xi_mag / half_kappa)
     dw = omega - rates.omega0
     numerator = rates.kappa_ext * half_kappa + 1j * rates.kappa_ext * dw
-    denominator = (half_kappa + 1j * dw) ** 2 - xi_mag * xi_mag
-    return numerator / denominator - 1.0
+    z = half_kappa + 1j * dw  # squared as a product, which overflows to inf on floats too
+    return numerator / (z * z - xi_mag * xi_mag) - 1.0
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """``np.linspace(lo, hi, count)`` as floats, count >= 2; bit for bit unless the step is 0."""
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count - 1)] + [hi]
+
+
+def _frequencies(rates: RateBudget, grid: GridSpec, np=None):
+    """The grid [rad/s], omega0 + linspace(-span, span, count): an array given numpy, else floats."""
+    span = grid.half_span_kappa * rates.kappa
+    if np is not None:
+        return rates.omega0 + np.linspace(-span, span, grid.count)
+    return [rates.omega0 + dw for dw in _linspace(-span, span, grid.count)]
+
+
+def _decibels(magnitude):
+    """20 log10 of a magnitude, a float or an array; a float 0 gives -inf, as numpy does."""
+    if isinstance(magnitude, float):
+        return 20.0 * math.log10(magnitude) if magnitude else -math.inf
+    import numpy as np
+
+    return 20.0 * np.log10(magnitude)
 
 
 def _half_power_offset(rates: RateBudget, xi_mag: float, half: float) -> float:
@@ -178,12 +198,11 @@ def profile_from_rates(rates: RateBudget, xi_mag: float, grid: GridSpec = GridSp
     """Sample the reflection curve around omega0 for a given pump strength."""
     import numpy as np
 
-    span = grid.half_span_kappa * rates.kappa
     with np.errstate(all="ignore"):
-        frequencies = rates.omega0 + np.linspace(-span, span, grid.count)
+        frequencies = _frequencies(rates, grid, np)
         refl = reflection(frequencies, xi_mag, rates)
         magnitude = np.abs(refl)
-        gain_db = 20.0 * np.log10(magnitude)
+        gain_db = _decibels(magnitude)
         power = magnitude**2
         i_peak = int(np.argmax(power))
         peak_power = float(power[i_peak])

@@ -17,9 +17,12 @@ Every output file starts with a comment banner and the fully resolved
 configuration, so a run can be reproduced from any of its outputs.  `main` alone
 sets the exit code: 2 for an error while the configuration resolves or an I/O error,
 3 for any other error once the command runs.  A float power that overflows or a division
-by zero in the library raises an ``ArithmeticError``; other overflow, and 0/0 in its numpy
-arrays, give non-finite values, not warnings, and no file is written if a value is
-non-finite outside `_NON_FINITE_COLUMNS`.
+by zero in the library raises an ``ArithmeticError``; other overflow gives non-finite
+values, and no file is written if a value is non-finite outside `_NON_FINITE_COLUMNS`.
+
+No command imports numpy: ``gain`` (`amplifier.reflection` per frequency) and the bias
+``sweep`` (`sweep._bias_rows`) build their rows on Python floats, with the grid and column
+formulas that `amplifier.profile_from_rates` and `sweep.bias_sweep` apply to arrays.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .amplifier import _TWO_PI, _rates, compression_estimate, profile_from_rates
+from .amplifier import _TWO_PI, _decibels, _frequencies, _rates, compression_estimate, reflection
 from .config import Run, command_run, echo_lines, load_config
 from .errors import NumericalError
 from .material import _BUILTINS
 from .resonator import operating_point
-from .sweep import bias_sweep, dielectric_sweep, geometry_sweep, maximize_3wm
+from .sweep import _bias_rows, dielectric_sweep, geometry_sweep, maximize_3wm
 
 __all__ = ["main"]
 
@@ -61,23 +64,23 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 _NON_FINITE_COLUMNS = ("peak_gain_db", "q_int")
 
 
-def _check_finite(command: str, columns, rows) -> None:
-    """Refuse a non-finite value outside the documented columns, before anything is written."""
-    checked = [i for i, name in enumerate(columns) if name not in _NON_FINITE_COLUMNS]
-    for row in rows:
-        for i in checked:
-            if not math.isfinite(row[i]):
-                raise NumericalError(f"{command} table column {columns[i]!r} is not finite")
+def _check_row(command: str, columns, row) -> None:
+    """Refuse a non-finite value outside the documented columns, naming the first one."""
+    for name, value in zip(columns, row):
+        if not math.isfinite(value) and name not in _NON_FINITE_COLUMNS:
+            raise NumericalError(f"{command} table column {name!r} is not finite")
 
 
 def _write_csv(run: Run, command: str, columns, rows) -> None:
-    _check_finite(command, columns, rows)
-    path = _out_dir(run) / f"{command}.csv"
-    lines = _header(command, run.sections)
-    lines.append(",".join(columns))
     template = ",".join(["%.17g"] * len(columns))  # the bytes of format(value, ".17g")
-    lines.extend(template % row for row in rows)
-    _write_lines(path, lines)
+    lines = [",".join(columns)]
+    for row in rows:  # every row is checked before anything is written
+        line = template % row
+        if "n" in line:  # only "nan" and "inf" print an n
+            _check_row(command, columns, row)
+        lines.append(line)
+    path = _out_dir(run) / f"{command}.csv"
+    _write_lines(path, _header(command, run.sections) + lines)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -138,7 +141,7 @@ def cmd_design(run: Run) -> None:
          comp.p_dbm_angular),
     )
     keys, _, _, values = zip(*rows)
-    _check_finite("design", keys, [values])
+    _check_row("design", keys, values)
 
     report = [f"{'material':<50}{sections['material']['name']}"]
     report.extend(
@@ -157,21 +160,20 @@ def cmd_gain(run: Run) -> None:
     """Reflection-gain curves at the working point for each pump ratio."""
     rates = _working_point(run)[2]
 
+    frequencies = _frequencies(rates, run.grid)
     rows = []
     for ratio in run.sections["gain"]["xi_ratio"]:
-        profile = profile_from_rates(rates, ratio * rates.kappa / 2.0, run.grid)
-        freq_ghz = (profile.frequencies / _TWO_PI / 1e9).tolist()
-        rows.extend(
-            (ratio, f, g, r.real, r.imag)
-            for f, g, r in zip(freq_ghz, profile.gain_db.tolist(), profile.reflection.tolist())
-        )
+        xi_mag = ratio * rates.kappa / 2.0
+        for omega in frequencies:
+            r = reflection(omega, xi_mag, rates)
+            rows.append((ratio, omega / _TWO_PI / 1e9, _decibels(abs(r)), r.real, r.imag))
 
     _write_csv(run, "gain", ("xi_ratio", "freq_ghz", "gain_db", "re_R", "im_R"), rows)
 
 
 def cmd_sweep(run: Run) -> None:
     """Bias-voltage or plate-separation sweep table."""
-    tabulate = bias_sweep if run.sweep.variable == "bias_voltage" else geometry_sweep
+    tabulate = _bias_rows if run.sweep.variable == "bias_voltage" else geometry_sweep
     result = tabulate(run.sweep, run.design, run.circuit, run.drive)
     if result.on_window_edge:
         field = result.column("v0_max_mv")[0] / result.column("d_nm")[0]  # mV/nm = V/um

@@ -142,6 +142,7 @@ def operating_point(
     z0 = (circuit.inductance / c) ** 0.5
     q_zpf = (hbar / (2.0 * z0)) ** 0.5
     v_zpf = q_zpf / c
+    half_q_ratio = drive.v_ac * c / (2.0 * q_zpf)  # q_ac / (2 q_zpf)
     return ModeCoefficients(
         omega0=omega0,
         z0=z0,
@@ -155,6 +156,6 @@ def operating_point(
         kappa_ext=omega0 / circuit.q_ext,
         xi=_xi(c, c1, drive, circuit),
         k_eff=(-c2 + 3.0 * c1 * c1 / c) * v_zpf**4 / (2.0 * hbar),
-        pump_photons=(drive.v_ac * c / (2.0 * q_zpf)) ** 2,
+        pump_photons=half_q_ratio * half_q_ratio,  # a product overflows to inf on floats too
     )
 

@@ -1,9 +1,10 @@
 """Parameter sweeps and the working-point optimiser.
 
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
-floats, ready for CSV serialisation.  The bias table is computed by column,
-from one array evaluation of the working-point record of
-`resonator.operating_point`, and is the only sweep that loads numpy.
+floats, ready for CSV serialisation.  `bias_sweep` computes the bias table by
+column, from one array evaluation of `resonator.operating_point`, and is the
+only sweep that loads numpy; `_bias_rows`, behind ``qpamp sweep``, computes the
+same columns, `_bias_columns`, row by row on Python floats.
 Bias-field rows are one scalar `material.dielectric_response` each, and
 plate-separation rows follow from one working-point record through the exact
 scaling laws at fixed plate_area/thickness.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .amplifier import _TWO_PI, _above_threshold
+from .amplifier import _TWO_PI, _decibels, _linspace
 from .errors import ConfigurationError, NumericalError, _one_of, _Record
 from .material import MaterialParams, dielectric_response
 from .resonator import (
@@ -108,12 +109,6 @@ class SweepSpec(_Record):
         return [self.start, *(10.0**x for x in exponents[1:-1]), self.stop]
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    """``np.linspace(lo, hi, count)`` as floats, count >= 2; bit for bit unless the step is 0."""
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count - 1)] + [hi]
-
-
 class SweepResult(NamedTuple):
     """Ordered, column-labelled table of sweep rows; ``on_window_edge`` is the
     `Optimum.on_window_edge` of the search that a `geometry_sweep` table rests on."""
@@ -168,33 +163,54 @@ def bias_sweep(
 
     v0 = np.array(spec.points())
     with np.errstate(all="ignore"):
-        point = operating_point(v0, drive, design, circuit)
-        xi = np.abs(point.xi)
-        columns = {
-            "v0_mv": v0 * 1e3,
-            "eps_r": point.eps_rel,
-            "tan_delta": point.loss_tangent,
-            "c_pf": point.c * 1e12,
-            "f0_ghz": point.omega0 / _TWO_PI / 1e9,
-            "xi_mhz": xi / _TWO_PI / 1e6,
-            "keff_hz": point.k_eff / _TWO_PI,
-            "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
-            "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
-        }
-        bad = [name for name, values in columns.items() if not np.isfinite(values).all()]
-        if bad:
-            raise NumericalError(f"bias sweep column {bad[0]!r} is not finite")
-        # R at the pumped centre; NaN at or beyond threshold, where the divisor is <= 0.
-        half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
-        centre = point.kappa_ext * half_kappa / (half_kappa * half_kappa - xi * xi)
-        centre[_above_threshold(xi, half_kappa)] = np.nan
-        gain = 20.0 * np.log10(np.abs(centre - 1.0))
+        columns = _bias_columns(v0, operating_point(v0, drive, design, circuit))
+    return _bias_table({name: values.tolist() for name, values in columns.items()})
+
+
+def _bias_rows(spec: SweepSpec, design, circuit, drive) -> SweepResult:
+    """`bias_sweep`'s table on floats, one working-point record per bias.  Where a float power
+    overflows or divides by zero, numpy gives a non-finite cell: `bias_sweep` names its column."""
+    try:
+        rows = [_bias_columns(v, operating_point(v, drive, design, circuit)) for v in spec.points()]
+    except ArithmeticError:
+        return bias_sweep(spec, design, circuit, drive)
+    return _bias_table({name: [row[name] for row in rows] for name in rows[0]})
+
+
+def _bias_columns(v0, point) -> dict:
+    """The bias table's columns at a float bias or an array of them, from their record."""
+    xi = abs(point.xi)
+    half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
+    # R + 1 at the pumped centre; NaN at or beyond threshold, where the divisor is <= 0 or NaN.
+    divisor = half_kappa * half_kappa - xi * xi
+    if isinstance(divisor, float):
+        centre = point.kappa_ext * half_kappa / divisor if divisor > 0.0 else math.nan
+    else:
+        centre = point.kappa_ext * half_kappa / divisor
+        centre[~(divisor > 0.0)] = math.nan
+    return {
+        "v0_mv": v0 * 1e3,
+        "eps_r": point.eps_rel,
+        "tan_delta": point.loss_tangent,
+        "c_pf": point.c * 1e12,
+        "f0_ghz": point.omega0 / _TWO_PI / 1e9,
+        "xi_mhz": xi / _TWO_PI / 1e6,
+        "keff_hz": point.k_eff / _TWO_PI,
+        "kappa_int_mhz": point.kappa_int / _TWO_PI / 1e6,
+        "kappa_ext_mhz": point.kappa_ext / _TWO_PI / 1e6,
+        "peak_gain_db": _decibels(abs(centre - 1.0)),
+    }
+
+
+def _bias_table(columns: dict) -> SweepResult:
+    """The bias table from its columns as lists of floats; checks every column but the last."""
+    names = tuple(columns)
+    for name in names[:-1]:  # a finite sum has finite terms; other sums need each term read
+        if not math.isfinite(sum(columns[name])) and not all(map(math.isfinite, columns[name])):
+            raise NumericalError(f"bias sweep column {name!r} is not finite")
     # NaN cells are math.nan itself, so that equal tables have equal rows.
-    peak_db = [g if g == g else math.nan for g in gain.tolist()]
-    return SweepResult(
-        columns=(*columns, "peak_gain_db"),
-        rows=tuple(zip(*(values.tolist() for values in columns.values()), peak_db)),
-    )
+    columns[names[-1]] = [g if g == g else math.nan for g in columns[names[-1]]]
+    return SweepResult(columns=names, rows=tuple(zip(*columns.values())))
 
 
 def dielectric_sweep(material: MaterialParams, spec: SweepSpec) -> SweepResult:

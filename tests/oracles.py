@@ -9,9 +9,10 @@ instead of Gauss-Legendre panels in a substituted variable, and derivatives
 use high-order finite-difference stencils instead of the chain rule; the
 bias of largest |xi| is a bisection on the sign of such a stencil's d|xi|/dv
 instead of a grid scan plus golden-section search;
-`material_row_mp` evaluates a material-table row at 40 digits with mpmath
-instead of in double precision.  The two exceptions keep a per-row path that
-a table now computes by column:
+`material_row_mp` evaluates a material-table row and `reflection_mp` the
+reflection coefficient at 40 digits with mpmath instead of in double
+precision.  The two exceptions keep a per-row path that a table now computes
+by column:
 `peak_gain_db_per_row` the scalar path that the bias sweep's ``peak_gain_db``
 column replaced, and `geometry_rows_per_design` the design-per-row
 plate-separation table that the scaling laws replaced.
@@ -72,6 +73,22 @@ def material_row_mp(field: float, params) -> tuple[float, ...]:
         tan3 = density * (params.a3 or 0.0) * g
         cells = (mp.mpf(field) / 10**6, params.eps00_rel * g, tan1 + tan2 + tan3, tan1, tan2, tan3)
         return tuple(float(cell) for cell in cells)
+
+
+def reflection_mp(omega: float, xi_mag: float, rates) -> complex:
+    """R(omega) of `qpamp.reflection` at 40 digits from the same doubles, rounded to a complex.
+
+    The record's ``kappa``, ``kappa_ext`` and ``omega0`` and the arguments are taken as
+    exact; dw = omega - omega0, the square and the quotient carry no rounding a double
+    path would see.  Imports mpmath on first use.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        half_kappa, kappa_ext = mp.mpf(rates.kappa) / 2, mp.mpf(rates.kappa_ext)
+        dw = mp.mpf(omega) - mp.mpf(rates.omega0)
+        numerator = kappa_ext * half_kappa + 1j * kappa_ext * dw
+        return complex(numerator / ((half_kappa + 1j * dw) ** 2 - mp.mpf(xi_mag) ** 2) - 1)
 
 
 def invert_bisect(charge, q: float, v_max: float) -> float:

@@ -788,6 +788,26 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+def test_an_overflowing_pump_occupation_is_named(tmp_path, capsys):
+    # (q_ac / 2 q_zpf)**2 is taken as a product, so it overflows to inf on floats, which
+    # `design` reports by name; `gain` writes no pump occupation and runs.
+    override = ["--override", "drive.v_ac_mv=3.7e157"]
+    assert main(["design", "--out", str(tmp_path / "design"), *override]) == 3
+    assert capsys.readouterr().err == (
+        "qpamp: error: design table column 'pump_photons' is not finite\n"
+    )
+    assert main(["gain", "--out", str(tmp_path / "gain"), *override]) == 0
+
+
+@pytest.mark.parametrize("span", ["1e167", "1e290"])
+def test_a_huge_gain_span_squares_to_inf(tmp_path, span):
+    # Far off resonance (kappa/2 + i dw)**2 overflows; as a product it gives R = -1 there.
+    argv = ["gain", "--override", f"gain.half_span_kappa={span}", "--override", "gain.count=5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    _, columns, rows = read_table(tmp_path / "gain.csv")
+    assert [row[columns.index("re_R")] for row in rows[:2]] == [-1.0, -1.0]
+
+
 def test_k_eff_underflow_fails_only_the_design(tmp_path, capsys):
     override = ["--override", "circuit.inductance_nh=1e300"]
     assert main(["design", "--out", str(tmp_path / "design"), *override]) == 3
@@ -1034,9 +1054,12 @@ class TestOutputContract:
         assert seen == {k: [] for k in names}
 
     def test_import_and_design_run_without_numpy(self, tmp_path):
-        # Only `gain` and the bias-voltage sweep build arrays; these run on Python floats.
+        # No command loads numpy: `gain` and the bias-voltage sweep build their rows on Python
+        # floats too, while the library's `profile_from_rates` and `bias_sweep` use arrays.
         field_table = ["--override=sweep.variable=bias_field", "--override=sweep.min=0",
                        "--override=sweep.max=10", "--override=sweep.count=401"]
+        pump_ratios = ["--override=sweep.variable=pump_ratio", "--override=sweep.min=0.5",
+                       "--override=sweep.max=0.9", "--override=sweep.count=3"]
         steps = [
             "qpamp",
             "qpamp.cli",
@@ -1045,6 +1068,9 @@ class TestOutputContract:
             ["material"],
             ["material", *field_table],
             ["sweep", *self.GEOMETRY],
+            ["gain", "--material", "sto"],
+            ["gain", "--material", "kto", *pump_ratios],
+            ["sweep"],
         ]
         seen = self._loaded_after(("numpy", "scipy"), steps, tmp_path)
         names = [step if isinstance(step, str) else " ".join(step) for step in steps]

@@ -17,8 +17,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from qpamp import NumericalError, RateBudget, operating_point, profile_from_rates  # noqa: E402
 from qpamp.cli import main  # noqa: E402
-from qpamp.config import _KEYS, _parse_float, _parse_int, _parse_ratio_list  # noqa: E402
+from qpamp.config import (  # noqa: E402
+    _KEYS,
+    _parse_float,
+    _parse_int,
+    _parse_ratio_list,
+    command_run,
+    load_config,
+)
+from qpamp.sweep import bias_sweep, maximize_3wm  # noqa: E402
 
 # --out always wins over [output] path, but keep the fuzzer off file paths.
 KEYS = [(s, k) for s, keys in _KEYS.items() for k in keys if (s, k) != ("output", "path")]
@@ -119,3 +128,77 @@ def test_an_underflowing_capacitance_square_names_the_three_wave_strength(comman
     assert err.getvalue() == (
         "qpamp: error: three-wave strength is not finite on the search grid (0.0, 0.25)\n"
     )
+
+
+# The float keys that `gain` and the bias `sweep` read, the bias sweep's end included.
+FLOAT_KEYS = [f"{s}.{k}" for s, keys in _KEYS.items() if s in ("material", "geometry", "circuit",
+              "drive", "gain") for k in keys if keys[k].parse is _parse_float] + ["sweep.max"]
+# Log-uniform over 1e-320 to 1e308, a fifth of them negative and a tenth zero.
+edge_values = st.tuples(st.integers(0, 9), st.floats(-320.0, 308.0)).map(
+    lambda t: 0.0 if t[0] == 0 else (-1.0 if t[0] < 3 else 1.0) * 10.0 ** t[1]
+)
+
+
+def array_path_outcome(argv):
+    """(exit code, error line) of ``gain`` or the bias ``sweep`` run on numpy's arrays.
+
+    The configuration is resolved as `main` resolves it; the table then comes from
+    `profile_from_rates` at `maximize_3wm`'s working point or from `bias_sweep`, and the
+    gain table's cells are checked row by row, as the CLI checks them.
+    """
+    command, overrides = argv[0], argv[2::2]
+    try:
+        run = command_run(load_config(None, overrides), command)
+    except ValueError as exc:
+        return 2, f"qpamp: config error: {exc}"
+    try:
+        if command == "sweep":
+            bias_sweep(run.sweep, run.design, run.circuit, run.drive)
+            return 0, None
+        window = (run.sweep.start, run.sweep.stop)
+        point = operating_point(
+            maximize_3wm(run.design, run.circuit, run.drive, window).v0_max,
+            run.drive, run.design, run.circuit,
+        )
+        rates = RateBudget(point.omega0, point.kappa_int, point.kappa_ext)
+        profiles = [
+            profile_from_rates(rates, ratio * rates.kappa / 2.0, run.grid)
+            for ratio in run.sections["gain"]["xi_ratio"]
+        ]
+        for profile in profiles:
+            for cells in zip(
+                profile.frequencies, profile.gain_db, profile.reflection.real, profile.reflection.imag
+            ):
+                for name, value in zip(("freq_ghz", "gain_db", "re_R", "im_R"), cells):
+                    if not math.isfinite(value):
+                        raise NumericalError(f"gain table column {name!r} is not finite")
+    except ArithmeticError as exc:
+        return 3, f"qpamp: error: {type(exc).__name__}: {exc}"
+    except (NumericalError, ValueError) as exc:
+        return 3, f"qpamp: error: {exc}"
+    return 0, None
+
+
+@st.composite
+def float_path_argv(draw):
+    command = draw(st.sampled_from(["gain", "sweep"]))
+    args = [command, "--override", "gain.count=41"]
+    if command == "sweep":
+        args += ["--override", "sweep.variable=bias_voltage", "--override", "sweep.min=0",
+                 "--override", "sweep.max=250", "--override", "sweep.count=21"]
+    for key in draw(st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=2)):
+        args += ["--override", f"{key}={draw(edge_values)!r}"]
+    return args
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(float_path_argv())
+def test_float_rows_exit_as_the_array_path_does(args):
+    # `gain` and the bias `sweep` build rows on floats, which raise where numpy's arrays give
+    # inf or NaN; they must still exit, and name the failure, as the array path does.
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(args + ["--out", out])
+    errors = [line for line in err.getvalue().splitlines() if "warning" not in line]
+    assert (rc, errors[0] if errors else None) == array_path_outcome(args)
