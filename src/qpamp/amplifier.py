@@ -139,13 +139,13 @@ def reflection(omega, xi_mag: float, rates: RateBudget):
     """
     if not xi_mag >= 0.0:
         raise ValueError("xi_mag must be non-negative")
-    half_kappa = rates.kappa / 2.0
-    if xi_mag * xi_mag >= half_kappa**2:
-        raise ThresholdError(xi_mag / half_kappa)
-    dw = omega - rates.omega0
-    numerator = rates.kappa_ext * half_kappa + 1j * rates.kappa_ext * dw
-    z = half_kappa + 1j * dw  # squared as a product, which overflows to inf on floats too
-    return numerator / (z * z - xi_mag * xi_mag) - 1.0
+    # In units of kappa: no square of a rate leaves the float range, and no divisor is 0.
+    kappa = rates.kappa
+    x = xi_mag / kappa
+    if x >= 0.5:
+        raise ThresholdError(2.0 * x)
+    z = 0.5 + 1j * ((omega - rates.omega0) / kappa)
+    return rates.kappa_ext / kappa * z / (z * z - x * x) - 1.0
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:

@@ -16,9 +16,8 @@ Four subcommands cover the main workflows:
 Every output file starts with a comment banner and the fully resolved
 configuration, so a run can be reproduced from any of its outputs.  `main` alone
 sets the exit code: 2 for an error while the configuration resolves or an I/O error,
-3 for any other error once the command runs.  A float power that overflows or a division
-by zero in the library raises an ``ArithmeticError``; other overflow gives non-finite
-values, and no file is written if a value is non-finite outside `_NON_FINITE_COLUMNS`.
+3 for any other error once the command runs.  Overflow gives inf or NaN on floats as
+on arrays, and no file is written with a non-finite value outside `_NON_FINITE_COLUMNS`.
 
 No command imports numpy: ``gain`` (`amplifier.reflection` per frequency) and the bias
 ``sweep`` (`sweep._bias_rows`) build their rows on Python floats, with the grid and column
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
         print(f"qpamp: config error: {exc}", file=sys.stderr)
         return 2
     # Command phase: the config is valid, so a computed value that breaks a rule is numerical.
-    # Overflowing float powers and divisions by zero raise; other overflow gives inf or NaN.
+    # Overflow gives inf or NaN, which the table checks name; ArithmeticError is a backstop.
     try:
         _COMMANDS[args.command][0](run)
     except ArithmeticError as exc:

@@ -196,7 +196,7 @@ def builtin_material(name: str) -> MaterialParams:
 def normalized_bias(bias_field, params: MaterialParams):
     """Normalised bias ``lam = sqrt(lam_s**2 + (E/E_N)**2)`` (dimensionless)."""
     x = bias_field / params.renorm_field
-    return (params.inhomogeneity**2 + x * x) ** 0.5
+    return (params.inhomogeneity * params.inhomogeneity + x * x) ** 0.5
 
 
 def _solve_cubic(lam, eta_val: float):
@@ -206,7 +206,7 @@ def _solve_cubic(lam, eta_val: float):
     # does the same for lam << eta^(3/2); both are replaced by identities
     # (u*w = eta, u^3 - w^3 = 2 lam) that only add positive terms.  The
     # cube roots are powers of positive numbers, so a float stays a float.
-    eta3 = eta_val**3
+    eta3 = eta_val * eta_val * eta_val
     plus = (lam * lam + eta3) ** 0.5 + lam
     u = plus ** (1.0 / 3.0)
     w = (eta3 / plus) ** (1.0 / 3.0)
@@ -262,8 +262,8 @@ def _derivatives(bias_field, params: MaterialParams, lam, eta_val, y, g):
     dg_per_lam = -(8.0 / 3.0) * g3 / (y * y + 3.0 * eta_val)
     d2g = (16.0 / 3.0) * g3 * g * g * y * y - (8.0 / 9.0) * g3 * g
     # lam_s**2, not lam_s: normalized_bias squares it, so lam is 0 at zero bias once it underflows.
-    s = (params.inhomogeneity / lam) ** 2 if params.inhomogeneity**2 > 0.0 else 0.0
-    scale = params.eps00_rel / params.renorm_field**2
+    s = (params.inhomogeneity / lam) ** 2 if params.inhomogeneity * params.inhomogeneity else 0.0
+    scale = params.eps00_rel / params.renorm_field / params.renorm_field
     return (
         params.eps00_rel * g,
         scale * dg_per_lam * bias_field,

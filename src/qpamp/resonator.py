@@ -138,11 +138,16 @@ def operating_point(
     """The working-point record at bias v0 under the drive, from one chain evaluation."""
     resp = dielectric_response(design.bias_field(v0), design.material)
     c, c1, c2 = _voltage_derivatives(resp.eps_rel, resp.deps_dE, resp.d2eps_dE2, design)
-    omega0 = 1.0 / (circuit.inductance * c) ** 0.5
-    z0 = (circuit.inductance / c) ** 0.5
-    q_zpf = (hbar / (2.0 * z0)) ** 0.5
-    v_zpf = q_zpf / c
-    half_q_ratio = drive.v_ac * c / (2.0 * q_zpf)  # q_ac / (2 q_zpf)
+    omega0 = z0 = q_zpf = v_zpf = k_eff = half_q_ratio = math.nan
+    try:  # a float C, L C or L / C out of range divides by zero: the rest stay NaN
+        omega0 = 1.0 / (circuit.inductance * c) ** 0.5
+        z0 = (circuit.inductance / c) ** 0.5
+        q_zpf = (hbar / (2.0 * z0)) ** 0.5
+        v_zpf = q_zpf / c
+        k_eff = (-c2 + 3.0 * c1 * c1 / c) * (v_zpf * v_zpf) * (v_zpf * v_zpf) / (2.0 * hbar)
+        half_q_ratio = drive.v_ac * c / (2.0 * q_zpf)  # q_ac / (2 q_zpf)
+    except ZeroDivisionError:
+        pass
     return ModeCoefficients(
         omega0=omega0,
         z0=z0,
@@ -155,7 +160,7 @@ def operating_point(
         kappa_int=omega0 * resp.loss_tangent,
         kappa_ext=omega0 / circuit.q_ext,
         xi=_xi(c, c1, drive, circuit),
-        k_eff=(-c2 + 3.0 * c1 * c1 / c) * v_zpf**4 / (2.0 * hbar),
+        k_eff=k_eff,
         pump_photons=half_q_ratio * half_q_ratio,  # a product overflows to inf on floats too
     )
 

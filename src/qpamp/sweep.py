@@ -3,8 +3,8 @@
 Every sweep produces a `SweepResult`: an ordered, column-labelled table of
 floats, ready for CSV serialisation.  `bias_sweep` computes the bias table by
 column, from one array evaluation of `resonator.operating_point`, and is the
-only sweep that loads numpy; `_bias_rows`, behind ``qpamp sweep``, computes the
-same columns, `_bias_columns`, row by row on Python floats.
+only sweep that loads numpy; `_bias_rows`, behind ``qpamp sweep``, computes its
+columns, `_bias_columns`, on Python floats, which overflow to the same cells.
 Bias-field rows are one scalar `material.dielectric_response` each, and
 plate-separation rows follow from one working-point record through the exact
 scaling laws at fixed plate_area/thickness.
@@ -168,12 +168,8 @@ def bias_sweep(
 
 
 def _bias_rows(spec: SweepSpec, design, circuit, drive) -> SweepResult:
-    """`bias_sweep`'s table on floats, one working-point record per bias.  Where a float power
-    overflows or divides by zero, numpy gives a non-finite cell: `bias_sweep` names its column."""
-    try:
-        rows = [_bias_columns(v, operating_point(v, drive, design, circuit)) for v in spec.points()]
-    except ArithmeticError:
-        return bias_sweep(spec, design, circuit, drive)
+    """`bias_sweep`'s table on floats, one working-point record per bias; no numpy."""
+    rows = [_bias_columns(v, operating_point(v, drive, design, circuit)) for v in spec.points()]
     return _bias_table({name: [row[name] for row in rows] for name in rows[0]})
 
 
@@ -181,13 +177,13 @@ def _bias_columns(v0, point) -> dict:
     """The bias table's columns at a float bias or an array of them, from their record."""
     xi = abs(point.xi)
     half_kappa = (point.kappa_int + point.kappa_ext) / 2.0
-    # R + 1 at the pumped centre; NaN at or beyond threshold, where the divisor is <= 0 or NaN.
-    divisor = half_kappa * half_kappa - xi * xi
-    if isinstance(divisor, float):
-        centre = point.kappa_ext * half_kappa / divisor if divisor > 0.0 else math.nan
+    # R + 1 at the pumped centre, with no square; NaN at or beyond threshold (gap <= 0 or NaN).
+    gap = half_kappa - xi
+    if isinstance(gap, float):
+        centre = point.kappa_ext / (half_kappa + xi) * (half_kappa / gap) if gap > 0.0 else math.nan
     else:
-        centre = point.kappa_ext * half_kappa / divisor
-        centre[~(divisor > 0.0)] = math.nan
+        centre = point.kappa_ext / (half_kappa + xi) * (half_kappa / gap)
+        centre[~(gap > 0.0)] = math.nan
     return {
         "v0_mv": v0 * 1e3,
         "eps_r": point.eps_rel,

@@ -158,7 +158,7 @@ def capacitance_derivatives(voltage, design: VaractorDesign):
 def _voltage_derivatives(eps_r, d1, d2, design: VaractorDesign):
     scale = epsilon_0 * design.plate_area / design.thickness
     d = design.thickness
-    return _capacitance(eps_r, design), scale * d1 / d, scale * d2 / (d * d)
+    return _capacitance(eps_r, design), scale * d1 / d, scale * d2 / d / d
 
 
 def _ideal_charge_per_root(design: VaractorDesign) -> float:

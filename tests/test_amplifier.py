@@ -147,6 +147,22 @@ class TestReflection:
                 reflection(BUDGET.omega_p / 2.0, ratio * BUDGET.kappa / 2.0, BUDGET)
             assert err.value.pump_ratio == pytest.approx(ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_rates_whose_squares_leave_the_float_range(self, scale):
+        # R depends on the rates only through their ratios.  Here (kappa/2)**2 underflows
+        # or overflows, which must neither raise nor report a threshold below it.
+        rates = RateBudget(*(scale * rate for rate in (BUDGET.omega0, BUDGET.kappa_int,
+                                                       BUDGET.kappa_ext)))
+        for ratio in (0.0, 0.5, 0.99):
+            for frac in (0.0, 0.41, -1.9):
+                got = reflection(rates.omega0 + frac * rates.kappa, ratio * rates.kappa / 2.0, rates)
+                want = reflection(
+                    BUDGET.omega0 + frac * BUDGET.kappa, ratio * BUDGET.kappa / 2.0, BUDGET
+                )
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        with pytest.raises(ThresholdError):
+            reflection(rates.omega0, rates.kappa / 2.0, rates)
+
     def test_rejects_nan_pump(self):
         with pytest.raises(ValueError):
             reflection(BUDGET.omega_p / 2.0, math.nan, BUDGET)
@@ -296,7 +312,8 @@ class TestGainProfile:
         profile = profile_from_rates(BUDGET, 0.5 * BUDGET.kappa / 2.0, grid)
         assert math.isnan(profile.peak_gain_db)
         assert math.isnan(profile.bandwidth)
-        assert np.isnan(profile.gain_db).all()
+        # The grid is NaN, inf and a finite 1.5e308 rad/s, far off resonance: |R| = 1 there.
+        assert np.isnan(profile.gain_db[:2]).all() and profile.gain_db[2] == 0.0
 
     def test_profile_frequencies_span(self):
         grid = GridSpec(count=11, half_span_kappa=3.0)

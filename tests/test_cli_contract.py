@@ -3,14 +3,19 @@
 Every run either exits 0 and writes only finite values (NaN is allowed in
 the documented ``peak_gain_db`` column, inf in the design report's ``q_int``),
 or exits 2 (configuration, with a line that names the section) or 3
-(numerical failure); stderr carries nothing but ``qpamp:`` lines.
+(numerical failure); stderr carries nothing but ``qpamp:`` lines, and none of
+them names a Python exception class.  No command imports numpy, so every run
+keeps this contract with numpy unimportable.
 """
 
 import contextlib
 import io
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,10 +46,12 @@ SWEEP_BASE = {
     "pump_ratio": ("0.1", "0.9"),
 }
 
-magnitudes = st.floats(min_value=1e-300, max_value=1e308)
-numbers = st.one_of(
-    st.just(0.0), magnitudes, magnitudes.map(lambda x: -x)
-).map(repr)
+# Log-uniform over 1e-320 to 1e308, a fifth of them negative and a tenth zero, so that the
+# squares and cubes of the chain leave the float range at both ends.
+edge_values = st.tuples(st.integers(0, 9), st.floats(-320.0, 308.0)).map(
+    lambda t: 0.0 if t[0] == 0 else (-1.0 if t[0] < 3 else 1.0) * 10.0 ** t[1]
+)
+numbers = edge_values.map(repr)
 
 
 @st.composite
@@ -94,15 +101,24 @@ def documented(name, value):
     return (name == "peak_gain_db" and math.isnan(value)) or (name == "q_int" and value == math.inf)
 
 
+# A bare exception class (OverflowError, ZeroDivisionError, ...) names no quantity and no key.
+EXCEPTION_CLASS = re.compile(r"\b[A-Z]\w*(Error|Exception)\b")
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(argv())
 def test_every_run_keeps_the_exit_contract(args):
     with tempfile.TemporaryDirectory() as out:
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (
+            mock.patch.dict(sys.modules, {"numpy": None}),  # `import numpy` raises
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
             rc = main(args + ["--out", out])
         lines = err.getvalue().splitlines()
         assert all(line.startswith("qpamp: ") for line in lines), lines
+        assert not any(EXCEPTION_CLASS.search(line) for line in lines), lines
         assert rc in (0, 2, 3), (rc, lines)
         files = sorted(Path(out).iterdir())
         if rc != 0:
@@ -130,13 +146,41 @@ def test_an_underflowing_capacitance_square_names_the_three_wave_strength(comman
     )
 
 
+NOT_FINITE_EPS_R = "qpamp: error: material table column 'eps_r' is not finite\n"
+GRID = "(0.0, 0.25)\n"
+
+
+@pytest.mark.parametrize(
+    "command, override, rc, stderr",
+    [
+        # lam_s**2 overflows: lam is inf and y, G and eps_r are NaN.
+        ("material", "material.inhomogeneity=1e300", 3, NOT_FINITE_EPS_R),
+        # E_N**2 underflows, and (E/E_N)**2 overflows at every field but zero.
+        ("material", "material.renorm_field_v_per_um=5.4e-170", 3, NOT_FINITE_EPS_R),
+        # eta**3 overflows in the cubic solve: y and eps_r are NaN.
+        ("sweep", "material.curie_temp_k=8.1e-198", 3,
+         "qpamp: error: bias sweep column 'eps_r' is not finite\n"),
+        # d * d underflows in d2C/dv2, and (E/E_N)**2 overflows at every bias but zero.
+        ("design", "geometry.thickness_nm=4.29e-209", 3,
+         "qpamp: error: three-wave strength is not finite on the search grid " + GRID),
+        # E_N**2 overflows: eps00_rel / E_N**2 is 0, so dC/dv and xi are zero on the grid.
+        ("gain", "material.renorm_field_v_per_um=1e200", 3,
+         "qpamp: error: |xi| underflows to zero for this design on the grid " + GRID),
+        # The same crystal's table: it shows no field derivative, so no cell is lost.
+        ("material", "material.renorm_field_v_per_um=1e200", 0, ""),
+    ],
+)
+def test_an_overflow_in_the_chain_exits_naming_a_quantity(command, override, rc, stderr, tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main([command, "--override", override, "--out", str(tmp_path)])
+    assert (status, err.getvalue()) == (rc, stderr)
+    assert [path.name for path in tmp_path.iterdir()] == ([f"{command}.csv"] if rc == 0 else [])
+
+
 # The float keys that `gain` and the bias `sweep` read, the bias sweep's end included.
 FLOAT_KEYS = [f"{s}.{k}" for s, keys in _KEYS.items() if s in ("material", "geometry", "circuit",
               "drive", "gain") for k in keys if keys[k].parse is _parse_float] + ["sweep.max"]
-# Log-uniform over 1e-320 to 1e308, a fifth of them negative and a tenth zero.
-edge_values = st.tuples(st.integers(0, 9), st.floats(-320.0, 308.0)).map(
-    lambda t: 0.0 if t[0] == 0 else (-1.0 if t[0] < 3 else 1.0) * 10.0 ** t[1]
-)
 
 
 def array_path_outcome(argv):
@@ -194,8 +238,8 @@ def float_path_argv(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(float_path_argv())
 def test_float_rows_exit_as_the_array_path_does(args):
-    # `gain` and the bias `sweep` build rows on floats, which raise where numpy's arrays give
-    # inf or NaN; they must still exit, and name the failure, as the array path does.
+    # `gain` and the bias `sweep` build rows on Python floats, with no numpy; where a value
+    # leaves the float range they must exit, and name the failure, as numpy's arrays do.
     with tempfile.TemporaryDirectory() as out:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -42,9 +42,9 @@ TXT_REL = 1e-5
 # row) and of EPS * 20/ln 10 dB for gain_db: relative ulps do not fit cells that pass through
 # zero (im_R at the centre, gain_db at 0 dB).  The oracle test at the end holds both paths
 # within half of it of a 40-digit R at the golden working points, so a cell of one path and
-# the golden value of the other differ by at most all of it.  The worst there is 43, at a
-# pump ratio of 0.99, where (kappa/2)**2 - |xi|**2 loses 1/(1 - 0.99**2) = 50 times the
-# rounding of its two squares.
+# the golden value of the other differ by at most all of it.  The worst there is 21, re_R at
+# the centre at a pump ratio of 0.99, where 1/4 - (|xi|/kappa)**2 loses 1/(1 - 0.99**2) = 50
+# times the rounding of the square.
 GAIN_BUDGET = 128
 GAIN_COLUMNS = ("gain_db", "re_R", "im_R")
 

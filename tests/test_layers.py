@@ -11,7 +11,10 @@ benchmark, the acceptance gate or the README.  A function that only tests
 call is surface without a user.
 
 A NaN or infinite float argument makes a public function of the five chain
-modules raise or return a non-finite result, never an all-finite one.
+modules raise or return a non-finite result, never an all-finite one.  A finite
+record whose powers leave the float range makes the functions on the commands'
+paths return non-finite values or raise a qpamp error, never a bare
+``OverflowError`` or ``ZeroDivisionError``.
 
 The seven validated input records refuse a field that breaks their rules
 however they are built, refuse assignment, and print, compare and hash by
@@ -205,6 +208,90 @@ def test_a_non_finite_float_gives_no_all_finite_answer(function, parameter, slot
         except (ArithmeticError, ValueError, NumericalError):
             return
         assert not all(map(cmath.isfinite, _numbers(result))), (arguments, result)
+
+    check()
+
+
+# Record fields drawn at extreme finite values, each with the record it sets.
+EXTREME_FIELDS = {
+    "inhomogeneity": "material",
+    "renorm_field": "material",
+    "curie_temp": "material",
+    "eps00_rel": "material",
+    "thickness": "design",
+    "plate_area": "design",
+    "inductance": "circuit",
+}
+
+
+def test_an_extreme_finite_record_raises_no_bare_arithmetic_error():
+    # The charge path (`charge`, `energy`, `voltage_from_charge`) is out of scope: no command
+    # runs it, and its math.asinh / math.sinh and float powers still raise on such records.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from qpamp import (
+        capacitance,
+        capacitance_derivatives,
+        dielectric_response,
+        kerr_strength,
+        mode,
+        operating_point,
+        permittivity,
+        permittivity_derivatives,
+        rate_budget,
+        reflection,
+        three_wave_strength,
+    )
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(sorted(EXTREME_FIELDS)),
+            st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(-0.25, 0.25),
+        st.floats(0.0, 0.99),
+        st.floats(-4.0, 4.0),
+    )
+    def check(values, v0, ratio, offset):
+        fields = {"material": {}, "design": {}, "circuit": {}}
+        for name, value in values.items():
+            fields[EXTREME_FIELDS[name]][name] = value
+        try:  # a record that its rules refuse (eta <= 0, say) is not drawn
+            material = STO._replace(**fields["material"])
+            design = VaractorDesign(16e-12, 200e-9, material)._replace(**fields["design"])
+            circuit = CircuitParams(0.5e-9)._replace(**fields["circuit"])
+        except ConfigurationError:
+            return
+        drive = DriveSpec(1e-3)
+        field = design.bias_field(v0)
+        calls = [
+            lambda: permittivity(field, material),
+            lambda: permittivity_derivatives(field, material),
+            lambda: dielectric_response(field, material),
+            lambda: capacitance(v0, design),
+            lambda: capacitance_derivatives(v0, design),
+            lambda: three_wave_strength(v0, drive, design, circuit),
+            lambda: kerr_strength(v0, design, circuit),
+            lambda: mode(v0, design, circuit),
+            lambda: operating_point(v0, drive, design, circuit),
+        ]
+        for call in calls:
+            try:
+                call()
+            except (ConfigurationError, NumericalError):
+                pass
+        try:  # RateBudget refuses a non-finite or zero rate
+            rates = rate_budget(v0, design, circuit)
+        except ConfigurationError:
+            return
+        try:
+            reflection(rates.omega0 + offset * rates.kappa, ratio * rates.kappa / 2.0, rates)
+        except NumericalError:
+            pass
 
     check()
 

@@ -183,6 +183,15 @@ class TestBiasSweep:
         assert any(math.isnan(g) for g in gain)
         assert any(math.isfinite(g) for g in gain[1:])
 
+    def test_peak_gain_where_the_square_of_kappa_underflows(self):
+        # kappa near 1e-190 rad/s, so (kappa/2)**2 underflows to 0.  At zero bias xi = 0:
+        # the lossless mode is below threshold and reflects with |R| = 1, on both paths.
+        lossless = STO_DESIGN._replace(material=STO._replace(a1=0.0, a2=0.0))
+        circuit = CircuitParams(inductance=0.5e-9, q_ext=1e200)
+        spec = SweepSpec("bias_voltage", 0.0, 0.25, 3)
+        for table in (bias_sweep, qpamp.sweep._bias_rows):
+            assert table(spec, lossless, circuit, DRIVE).column("peak_gain_db")[0] == 0.0
+
     @pytest.mark.parametrize("window", [(0.0, 0.25, 201), (-0.3, 0.9, 1001)], ids=["0-250", "wide"])
     @pytest.mark.parametrize("v_ac", [0.25e-3, 1e-3, 5e-3])
     @pytest.mark.parametrize("design", [STO_DESIGN, KTO_DESIGN], ids=["sto", "kto"])
