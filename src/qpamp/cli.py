@@ -37,7 +37,7 @@ from .config import Run, command_run, echo_lines, load_config
 from .errors import NumericalError
 from .material import _BUILTINS
 from .resonator import operating_point
-from .sweep import _bias_rows, dielectric_sweep, geometry_sweep, maximize_3wm
+from .sweep import _bias_columns, _bias_rows, dielectric_sweep, geometry_sweep, maximize_3wm
 
 __all__ = ["main"]
 
@@ -99,35 +99,37 @@ def _warn_on_edge(point: str, window: str) -> None:
 
 
 def _working_point(run: Run):
-    """(optimum, working-point record, rate budget) of the configured bias search window."""
+    """(bias-table columns, working-point record, rate budget) at the optimum of the
+    configured bias search window; the columns are `sweep._bias_columns` there."""
     design, circuit, drive, window = run.design, run.circuit, run.drive, run.sweep
     best = maximize_3wm(design, circuit, drive, v_range=(window.start, window.stop))
+    point = operating_point(best.v0_max, drive, design, circuit)
+    column = _bias_columns(best.v0_max, point)
     if best.on_window_edge:
         _warn_on_edge(
-            f"bias {best.v0_max * 1e3:.6g} mV",
+            f"bias {column['v0_mv']:.6g} mV",
             f"[{window.start * 1e3:.6g}, {window.stop * 1e3:.6g}] mV",
         )
-    point = operating_point(best.v0_max, drive, design, circuit)
-    return best, point, _rates(point)
+    return column, point, _rates(point)
 
 
 def cmd_design(run: Run) -> None:
     """Working-point search and full design report."""
     sections = run.sections
-    best, point, rates = _working_point(run)
+    column, point, rates = _working_point(run)
     comp = compression_estimate(point.k_eff, rates)
     xi = abs(point.xi)
 
     # (kv key, report label, display unit, value) rows of the design report.
     rows = (
-        ("v0_max_mv", "working-point bias v0", "mV", best.v0_max * 1e3),
-        ("f0_ghz", "mode frequency f0", "GHz", point.omega0 / _TWO_PI / 1e9),
-        ("c_pf", "capacitance at v0", "pF", point.c * 1e12),
-        ("xi_mhz", "three-wave strength |xi|/2pi", "MHz", xi / _TWO_PI / 1e6),
-        ("keff_hz", "Kerr strength K_eff/2pi", "Hz", point.k_eff / _TWO_PI),
+        ("v0_max_mv", "working-point bias v0", "mV", column["v0_mv"]),
+        ("f0_ghz", "mode frequency f0", "GHz", column["f0_ghz"]),
+        ("c_pf", "capacitance at v0", "pF", column["c_pf"]),
+        ("xi_mhz", "three-wave strength |xi|/2pi", "MHz", column["xi_mhz"]),
+        ("keff_hz", "Kerr strength K_eff/2pi", "Hz", column["keff_hz"]),
         ("xi_over_keff", "ratio |xi| / K_eff", "", xi / point.k_eff),
-        ("kappa_int_mhz", "internal rate kappa_int/2pi", "MHz", point.kappa_int / _TWO_PI / 1e6),
-        ("kappa_ext_mhz", "external rate kappa_ext/2pi", "MHz", point.kappa_ext / _TWO_PI / 1e6),
+        ("kappa_int_mhz", "internal rate kappa_int/2pi", "MHz", column["kappa_int_mhz"]),
+        ("kappa_ext_mhz", "external rate kappa_ext/2pi", "MHz", column["kappa_ext_mhz"]),
         ("kappa_mhz", "total rate kappa/2pi", "MHz", rates.kappa / _TWO_PI / 1e6),
         ("q_int", "internal quality factor", "", rates.q_int),
         ("q_ext", "external quality factor", "", rates.q_ext),
@@ -215,10 +217,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> list[str]:
+    """``--material``, each ``--override``, then ``--out``, as overrides: a later one wins."""
+    material = [] if args.material is None else [f"material.name={args.material}"]
+    out = [] if args.out is None else [f"output.path={args.out}"]
+    return [*material, *args.override, *out]
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:  # config phase
-        config = load_config(args.config, args.override, args.material, args.out)
+        config = load_config(args.config, _overrides(args))
         run = command_run(config, args.command)
     except ValueError as exc:
         print(f"qpamp: config error: {exc}", file=sys.stderr)

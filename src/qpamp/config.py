@@ -221,28 +221,16 @@ def _resolve(section: str, entries: dict) -> dict:
     return resolved
 
 
-def load_config(
-    path: str | None = None,
-    overrides=(),
-    material: str | None = None,
-    out_dir: str | None = None,
-) -> dict:
+def load_config(path: str | None = None, overrides=()) -> dict:
     """Read, override, validate and resolve a tool configuration.
 
     Returns section -> key -> typed value (display units).  The ``sweep``
     section is None when the configuration has none; `command_run` then
-    substitutes the command's own.
-
-    ``material`` and ``out_dir`` mirror the ``--material`` / ``--out``
-    command-line shortcuts and take precedence over the file; ``overrides``
-    are ``section.key=value`` strings applied on top of the file.
+    substitutes the command's own.  ``overrides`` are ``section.key=value``
+    strings applied in order on top of the file, so a later one wins.
     """
     raw = _read_file(path) if path is not None else {}
-    if material is not None:
-        raw.setdefault("material", {})["name"] = material
     _apply_overrides(raw, overrides)
-    if out_dir is not None:
-        raw.setdefault("output", {})["path"] = out_dir
     _check_unknown_keys(raw)
     sections = {
         section: _resolve(section, raw.get(section, {}))

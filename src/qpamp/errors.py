@@ -13,8 +13,9 @@ class ConfigurationError(ValueError):
     """A configuration file, override, or parameter set is invalid."""
 
 
-def _require_finite(kind: str, record, positive=(), non_negative=()) -> None:
-    """Refuse a field in ``positive`` outside (0, inf), or in ``non_negative`` outside [0, inf).
+def _require_finite(kind: str, record, positive=(), non_negative=(), finite=()) -> None:
+    """Refuse a field in ``positive`` outside (0, inf), in ``non_negative`` outside [0, inf),
+    or in ``finite`` outside (-inf, inf).
 
     The message quotes the field, so that the config layer can restate it under its key.
     """
@@ -24,6 +25,9 @@ def _require_finite(kind: str, record, positive=(), non_negative=()) -> None:
     for name in non_negative:
         if not 0.0 <= getattr(record, name) < math.inf:
             raise ConfigurationError(f"{kind} {name!r} must be finite and non-negative")
+    for name in finite:
+        if not math.isfinite(getattr(record, name)):
+            raise ConfigurationError(f"{kind} {name!r} must be finite")
 
 
 class _Record:

@@ -32,7 +32,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import ConfigurationError, _Record, _require_finite
+from .errors import _Record, _require_finite
 from .material import dielectric_response
 from .varactor import VaractorDesign, _voltage_derivatives, capacitance_derivatives
 
@@ -67,9 +67,7 @@ class DriveSpec(_Record):
     theta: float = 0.0
 
     def _check(self):
-        _require_finite("drive parameter", self, non_negative=("v_ac",))
-        if not math.isfinite(self.theta):
-            raise ConfigurationError("drive parameter 'theta' must be finite")
+        _require_finite("drive parameter", self, non_negative=("v_ac",), finite=("theta",))
 
 
 _UNDRIVEN = DriveSpec(v_ac=0.0)  # the linear mode's drive: no pump

@@ -28,7 +28,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .amplifier import _TWO_PI, _decibels, _linspace
-from .errors import ConfigurationError, NumericalError, _one_of, _Record
+from .errors import ConfigurationError, NumericalError, _one_of, _Record, _require_finite
 from .material import MaterialParams, dielectric_response
 from .resonator import (
     CircuitParams,
@@ -83,9 +83,7 @@ class SweepSpec(_Record):
     def _check(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigurationError(f"sweep 'variable' {_one_of(SWEEP_VARIABLES, self.variable)}")
-        for name in ("start", "stop"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"sweep {name!r} must be finite")
+        _require_finite("sweep", self, finite=("start", "stop"))
         if self.spacing not in _SPACINGS:
             raise ConfigurationError(f"sweep 'spacing' {_one_of(_SPACINGS, self.spacing)}")
         if not isinstance(self.count, int) or self.count < 1:

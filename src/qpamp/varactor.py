@@ -177,18 +177,26 @@ def _moments(voltage: float, design: VaractorDesign, start: float = 0.0) -> tupl
     _check_range(voltage, design)
     material = design.material
     eta_val = eta(material)
+    reach = design.thickness * material.renorm_field  # d E_N: the bias at x = 1
     # The floor changes q and U by less than rounding (module docstring).
-    if material.inhomogeneity**2 <= 1e-17 * eta_val**3:
+    if material.inhomogeneity * material.inhomogeneity <= 1e-17 * (eta_val * eta_val * eta_val):
         per_root = _ideal_charge_per_root(design)
-        scale = 0.5 * design.thickness * material.renorm_field * per_root
+        scale = 0.5 * reach * per_root
         q = u_c = 0.0
         for sign, end in ((1.0, voltage), (-1.0, start)):
             if end:
-                y = _solve_cubic(abs(end) / (design.thickness * material.renorm_field), eta_val)
+                x = abs(end) / reach if reach else math.inf
+                # lam = x, which is not finite once x * x overflows, as in `normalized_bias`.
+                y = _solve_cubic(x if x * x < math.inf else math.inf, eta_val)
                 q += sign * per_root * y
-                u_c += sign * scale * y**2 * (0.25 * y**2 + 1.5 * eta_val)
+                u_c += sign * scale * (y * y) * (0.25 * (y * y) + 1.5 * eta_val)
         return q, u_c
-    scale = design.thickness * material.renorm_field * material.inhomogeneity
+    scale = reach * material.inhomogeneity
+    if not (0.0 < scale < math.inf and max(abs(voltage), abs(start)) / scale < math.inf):
+        raise NumericalError(
+            f"charge integral: the substitution range of u = a sinh(t) is zero or infinite "
+            f"(a = d E_N lam_s = {scale} V)"
+        )
     begin = math.asinh(abs(start) / scale)
     end = math.asinh(abs(voltage) / scale)
     sign = 1.0
@@ -199,7 +207,7 @@ def _moments(voltage: float, design: VaractorDesign, start: float = 0.0) -> tupl
     for lo, hi in ((begin, min(end, knee)), (max(begin, knee), end)):
         if not lo < hi:
             continue
-        panels = math.ceil((hi - lo) / math.pi)
+        panels = math.ceil((hi - lo) / math.pi) or 1  # a subnormal width over pi rounds to 0
         half = 0.5 * (hi - lo) / panels
         for k in range(panels):
             mid = lo + (2 * k + 1) * half
@@ -250,12 +258,14 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
     ValueError
         If ``q`` is not finite or lies outside [q(-v_max), q(v_max)].
     NumericalError
-        If the steps do not settle.
+        If the steps do not settle, or an iterate's C(v) underflows to 0 or its
+        charge is not finite.
     """
     if q == 0.0:
         return 0.0
     material = design.material
-    y = abs(q) / _ideal_charge_per_root(design)
+    per_root = _ideal_charge_per_root(design)
+    y = abs(q) / per_root if per_root else math.inf  # no charge per root: beyond any v_max
     v = math.copysign(
         0.5 * design.thickness * material.renorm_field * y * (y * y + 3.0 * eta(material)), q
     )
@@ -282,7 +292,10 @@ def voltage_from_charge(q: float, design: VaractorDesign) -> float:
         else:  # the start, or a step across zero
             q_known = charge(v, design)
         v_known = v
-        last, step = step, (q - q_known) / capacitance(v, design)
+        c = capacitance(v, design)
+        if not (c > 0.0 and math.isfinite(q_known)):  # C(v) underflows to 0, or q(v) is not finite
+            raise NumericalError(f"Newton inversion of charge {q} C: C = {c} F, q = {q_known} C")
+        last, step = step, (q - q_known) / c
         if not abs(step) < abs(last):
             return v
         v += step
@@ -302,13 +315,17 @@ def energy_and_derivatives(voltage: float, design: VaractorDesign) -> ChargePoin
     """Full energy expansion of the varactor at a DC working point.
 
     All derivatives are analytic (chain rule through the permittivity
-    model); the tests check them against finite-difference stencils.
+    model); the tests check them against finite-difference stencils.  A C(v)
+    that underflows to 0 raises `NumericalError`.
     """
     c, c1, c2 = capacitance_derivatives(voltage, design)
+    if not c:
+        raise NumericalError(f"energy expansion at {voltage} V: C(v) underflows to 0 F")
     q, u = _moments(voltage, design)
     u2 = 1.0 / c
-    u3 = -c1 / c**3
-    u4 = (-c2 + 3.0 * c1 * c1 / c) / c**4
+    # Repeated divisions give inf where C**3 or C**4 would leave the float range.
+    u3 = -c1 / c / c / c
+    u4 = (-c2 + 3.0 * c1 * c1 / c) / c / c / c / c
     return ChargePoint(
         charge=math.copysign(q, voltage),
         capacitance=c,

@@ -14,7 +14,7 @@ from qpamp import ConfigurationError, permittivity, builtin_material
 from qpamp.amplifier import GridSpec, profile_from_rates, rate_budget, reflection
 from qpamp.cli import main
 from qpamp.config import _KEYS, command_run, config_text_from_output, load_config
-from qpamp.sweep import maximize_3wm
+from qpamp.sweep import SweepSpec, _bias_rows, maximize_3wm
 
 
 def read_table(path):
@@ -428,6 +428,27 @@ class TestDesignCommand:
         assert float(values["xi_mhz"]) == pytest.approx(9.5, rel=0.05)
         assert float(values["kappa_mhz"]) == pytest.approx(49.5, abs=0.5)
         assert float(values["q_int"]) == pytest.approx(7.4e3, rel=0.03)
+
+    @pytest.mark.parametrize("material", ["sto", "kto"])
+    def test_working_point_values_are_the_bias_table_row(self, tmp_path, material):
+        # design.kv and the bias table take these columns from one formula each.
+        assert main(["design", "--out", str(tmp_path), "--material", material]) == 0
+        values = read_kv(tmp_path / "design.kv")
+        run = command_run(load_config(overrides=[f"material.name={material}"]), "design")
+        best = maximize_3wm(run.design, run.circuit, run.drive, (run.sweep.start, run.sweep.stop))
+        spec = SweepSpec("bias_voltage", best.v0_max, best.v0_max, 1)
+        table = _bias_rows(spec, run.design, run.circuit, run.drive)
+        row = dict(zip(table.columns, table.rows[0]))
+        for key, name in (
+            ("v0_max_mv", "v0_mv"),
+            ("f0_ghz", "f0_ghz"),
+            ("c_pf", "c_pf"),
+            ("xi_mhz", "xi_mhz"),
+            ("keff_hz", "keff_hz"),
+            ("kappa_int_mhz", "kappa_int_mhz"),
+            ("kappa_ext_mhz", "kappa_ext_mhz"),
+        ):
+            assert float(values[key]) == row[name], key
 
     def test_search_window_comes_from_bias_sweep_section(self, tmp_path):
         # Restricting the window moves the optimum to its upper edge.
@@ -915,6 +936,27 @@ def echoed_section(path, section):
         elif inside and text:
             lines.append(text)
     return lines
+
+
+@pytest.mark.parametrize(
+    "options, out, material",
+    [
+        ([], "A", "sto"),
+        (["--material", "kto", "--override", "material.name=sto"], "A", "sto"),
+        (["--override", "output.path=C", "--out", "B"], "B", "sto"),
+        (["--material", "kto", "--out", "x=y"], "x=y", "kto"),
+    ],
+    ids=["file", "override-over-material", "out-over-override", "out-with-equals-sign"],
+)
+def test_settings_precedence(tmp_path, monkeypatch, options, out, material):
+    """The config file < ``--material`` < ``--override`` < ``--out``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qpamp.ini").write_text("[output]\npath = A\n")
+    assert main(["material", "--config", "qpamp.ini", *options]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir() if path.is_dir()) == [out]
+    table = tmp_path / out / "material.csv"
+    assert echoed_section(table, "material")[0] == f"name = {material}"
+    assert echoed_section(table, "output")[0] == f"path = {out}"
 
 
 @pytest.mark.parametrize("variable", [None, *MATRIX_SWEEPS])

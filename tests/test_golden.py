@@ -24,7 +24,7 @@ import pytest
 from golden.regenerate import COMMANDS, CRYSTALS, GOLDEN, RUNS, execute, produce, split
 from oracles import reflection_mp
 from qpamp.amplifier import profile_from_rates, rate_budget
-from qpamp.cli import _build_parser, main
+from qpamp.cli import _build_parser, _overrides, main
 from qpamp.config import command_run, load_config
 from qpamp.sweep import bias_sweep, maximize_3wm
 
@@ -114,7 +114,7 @@ def test_streams_match_golden(tmp_path, crystal, command):
 def _run(argv):
     """The `config.Run` of one command line."""
     args = _build_parser().parse_args(argv)
-    return command_run(load_config(args.config, args.override, args.material), args.command)
+    return command_run(load_config(args.config, _overrides(args)), args.command)
 
 
 def _rates(run):

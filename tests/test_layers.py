@@ -13,8 +13,8 @@ call is surface without a user.
 A NaN or infinite float argument makes a public function of the five chain
 modules raise or return a non-finite result, never an all-finite one.  A finite
 record whose powers leave the float range makes the functions on the commands'
-paths return non-finite values or raise a qpamp error, never a bare
-``OverflowError`` or ``ZeroDivisionError``.
+paths and on the charge path return non-finite values or raise a qpamp error,
+never a bare ``OverflowError`` or ``ZeroDivisionError``.
 
 The seven validated input records refuse a field that breaks their rules
 however they are built, refuse assignment, and print, compare and hash by
@@ -225,15 +225,16 @@ EXTREME_FIELDS = {
 
 
 def test_an_extreme_finite_record_raises_no_bare_arithmetic_error():
-    # The charge path (`charge`, `energy`, `voltage_from_charge`) is out of scope: no command
-    # runs it, and its math.asinh / math.sinh and float powers still raise on such records.
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     from qpamp import (
         capacitance,
         capacitance_derivatives,
+        charge,
         dielectric_response,
+        energy,
+        energy_and_derivatives,
         kerr_strength,
         mode,
         operating_point,
@@ -242,8 +243,17 @@ def test_an_extreme_finite_record_raises_no_bare_arithmetic_error():
         rate_budget,
         reflection,
         three_wave_strength,
+        voltage_from_charge,
     )
 
+    # Records whose charge path raised a bare OverflowError or ZeroDivisionError, or
+    # whose ideal-crystal charge came out 0 where C(v) is NaN.
+    @example({"curie_temp": 1e-200}, 0.01, 0.5, 1.0)  # eta**3 overflows
+    @example({"thickness": 1e-300, "renorm_field": 1e-300}, 0.01, 0.5, 1.0)  # d E_N lam_s is 0
+    @example({"renorm_field": 1e-300}, 0.01, 0.5, 1.0)  # the substitution range is infinite
+    @example({"plate_area": 1e-300}, 0.01, 0.5, 1.0)  # C**3 underflows
+    @example({"eps00_rel": 1e300}, 0.01, 0.5, 1.0)  # C**3 overflows
+    @example({"inhomogeneity": 0.0, "renorm_field": 1e-300}, 0.01, 0.5, 1.0)  # x * x overflows
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(
         st.dictionaries(
@@ -284,6 +294,17 @@ def test_an_extreme_finite_record_raises_no_bare_arithmetic_error():
                 call()
             except (ConfigurationError, NumericalError):
                 pass
+        charge_path = [
+            lambda: charge(v0, design),
+            lambda: energy(v0, design),
+            lambda: energy_and_derivatives(v0, design),
+            lambda: voltage_from_charge(offset * 1e-15, design),
+        ]
+        for call in charge_path:
+            try:
+                call()
+            except (ValueError, NumericalError):  # a charge outside q(+-v_max) is refused
+                pass
         try:  # RateBudget refuses a non-finite or zero rate
             rates = rate_budget(v0, design, circuit)
         except ConfigurationError:
@@ -294,6 +315,14 @@ def test_an_extreme_finite_record_raises_no_bare_arithmetic_error():
             pass
 
     check()
+    # At 0.01 V on the ideal crystal, C(v) is NaN: lam = x overflows in normalized_bias.
+    ideal = VaractorDesign(16e-12, 200e-9, STO._replace(inhomogeneity=0.0, renorm_field=1e-300))
+    for function in (charge, energy):
+        try:
+            value = function(0.01, ideal)
+        except (ValueError, NumericalError):
+            continue
+        assert not math.isfinite(value), function
 
 
 _STO_REPR = (
